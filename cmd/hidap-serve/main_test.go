@@ -215,6 +215,20 @@ func TestServeValidation(t *testing.T) {
 		"bad design":  `{"design": {"die": "not-a-rect"}}`,
 		"no macros":   `{"circuit": {"name": "not-a-suite-circuit"}}`,
 		"both inputs": `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
+		"negative die": `{"design": {"name": "y", "die": [0, 0, -100, 100],
+			"cells": [{"name": "m", "kind": "macro", "w": 10, "h": 10}]}}`,
+		"negative macro": `{"design": {"name": "y", "die": [0, 0, 100, 100],
+			"cells": [{"name": "m", "kind": "macro", "w": -10, "h": 10}]}}`,
+		"zero macro": `{"design": {"name": "y", "die": [0, 0, 100, 100],
+			"cells": [{"name": "m", "kind": "macro", "w": 10, "h": 0}]}}`,
+		"negative cell": `{"design": {"name": "y", "die": [0, 0, 100, 100],
+			"cells": [{"name": "c", "kind": "comb", "w": 1, "h": -1}]}}`,
+		"port_pos out of range": `{"design": {"name": "y", "die": [0, 0, 100, 100],
+			"cells": [{"name": "p", "kind": "port"}], "port_pos": [[7, 0, 0]]}}`,
+		"port_pos short": `{"design": {"name": "y", "die": [0, 0, 100, 100],
+			"cells": [{"name": "p", "kind": "port"}], "port_pos": [[0, 1]]}}`,
+		"port_pos non-port": `{"design": {"name": "y", "die": [0, 0, 100, 100],
+			"cells": [{"name": "m", "kind": "macro", "w": 10, "h": 10}], "port_pos": [[0, 1, 1]]}}`,
 	} {
 		if _, code := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, code)
@@ -237,7 +251,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	_, ts, eng := newTestServer(t, 2)
 	defer eng.Close()
 
-	st, code := postJob(t, ts, `{"label":"m1","circuit":{"name":"c1","scale":400},"effort":"low","restarts":2}`)
+	// "batch" is a retired request field: the decoder ignores unknown
+	// fields, so clients that still send it are accepted and placed.
+	st, code := postJob(t, ts, `{"label":"m1","circuit":{"name":"c1","scale":400},"effort":"low","restarts":2,"batch":4}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}

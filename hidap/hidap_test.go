@@ -1,6 +1,7 @@
 package hidap_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,6 +22,36 @@ module top (din, dout);
 endmodule
 `
 
+// placeWith runs the named registry flow on d under a config built from
+// opts, failing the test on error.
+func placeWith(t *testing.T, name string, d *hidap.Design, opts ...hidap.Option) (*hidap.Placement, hidap.Stats) {
+	t.Helper()
+	p, err := hidap.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, st, err := p.Place(context.Background(), d, hidap.NewConfig(opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl, st
+}
+
+// placeAndEvaluate places d's standard cells around pl's macros and
+// measures the result.
+func placeAndEvaluate(t *testing.T, d *hidap.Design, pl *hidap.Placement) *hidap.Report {
+	t.Helper()
+	ctx := context.Background()
+	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := hidap.Evaluate(ctx, d, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestParseVerilogAndPlace(t *testing.T) {
 	lib := hidap.DefaultLibrary()
 	lib.AddMacro("RAM4", 20_000, 12_000, 4)
@@ -28,17 +59,11 @@ func TestParseVerilogAndPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Placement.AllMacrosPlaced() {
+	pl, _ := placeWith(t, "hidap", d)
+	if !pl.AllMacrosPlaced() {
 		t.Fatal("macro unplaced")
 	}
-	if err := hidap.PlaceCells(res.Placement); err != nil {
-		t.Fatal(err)
-	}
-	if wl := hidap.Wirelength(res.Placement); wl <= 0 {
+	if wl := placeAndEvaluate(t, d, pl).WirelengthM; wl <= 0 {
 		t.Errorf("wirelength = %v", wl)
 	}
 }
@@ -48,54 +73,39 @@ func TestFullPublicFlow(t *testing.T) {
 		Name: "pub", Cells: 200_000, Macros: 6, Subsystems: 2,
 		BusWidth: 32, Scale: 400, Seed: 3,
 	})
-	opt := hidap.DefaultOptions()
-	opt.Effort = hidap.EffortLow
-	opt.Trace = true
-	res, err := hidap.Place(g.Design, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hidap.PlaceCells(res.Placement); err != nil {
-		t.Fatal(err)
-	}
-	if hidap.Congestion(res.Placement) < 0 {
+	pl, st := placeWith(t, "hidap", g.Design, hidap.WithEffort(hidap.EffortLow), hidap.WithTrace())
+	rep := placeAndEvaluate(t, g.Design, pl)
+	if rep.CongestionPct < 0 {
 		t.Error("congestion negative")
 	}
-	wns, tns := hidap.Timing(g.Design, res.Placement)
-	if wns > 0 || tns > 0 {
-		t.Errorf("timing sign convention broken: wns=%v tns=%v", wns, tns)
+	if rep.WNSPct > 0 || rep.TNSns > 0 {
+		t.Errorf("timing sign convention broken: wns=%v tns=%v", rep.WNSPct, rep.TNSns)
 	}
 
 	var sb strings.Builder
-	hidap.WriteFloorplanSVG(&sb, res.Placement)
+	hidap.WriteFloorplanSVG(&sb, pl)
 	if !strings.Contains(sb.String(), "</svg>") {
 		t.Error("floorplan SVG incomplete")
 	}
-	if len(res.Trace) > 0 {
+	if len(st.Trace) > 0 {
 		sb.Reset()
-		hidap.WriteTraceSVG(&sb, g.Design.Die, res.Trace[0])
+		hidap.WriteTraceSVG(&sb, g.Design.Die, st.Trace[0])
 		if !strings.Contains(sb.String(), "</svg>") {
 			t.Error("trace SVG incomplete")
 		}
 	}
-	if txt := hidap.DensityASCII(res.Placement, 12); len(txt) == 0 {
+	if txt := hidap.DensityASCII(pl, 12); len(txt) == 0 {
 		t.Error("density ASCII empty")
 	}
 }
 
 func TestBaselinesPublicAPI(t *testing.T) {
 	g := circuits.ABCDX()
-	ind, err := hidap.PlaceIndEDA(g.Design, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ind, _ := placeWith(t, "indeda", g.Design, hidap.WithSeed(1))
 	if !ind.AllMacrosPlaced() {
 		t.Error("IndEDA left macros unplaced")
 	}
-	hfp, err := hidap.PlaceHandFP(g.Design, g.Intent, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hfp, _ := placeWith(t, "handfp", g.Design, hidap.WithSeed(1), hidap.WithIntent(g.Intent))
 	if !hfp.AllMacrosPlaced() {
 		t.Error("handFP left macros unplaced")
 	}
@@ -111,11 +121,8 @@ func TestBuilderPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Die.ContainsRect(res.Placement.Rect(m)) {
+	pl, _ := placeWith(t, "hidap", d)
+	if !d.Die.ContainsRect(pl.Rect(m)) {
 		t.Error("macro escaped die")
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // Report is the uniform measurement record of a placed design: wirelength,
 // congestion, timing, sequential-graph size and run bookkeeping, with flat
-// JSON marshalling. It subsumes the former Wirelength / Congestion / Timing
-// trio; use Stats.Annotate to add the placer's runtime and flip count.
+// JSON marshalling. Use Stats.Annotate to add the placer's runtime and flip
+// count.
 type Report = eval.Report
 
 // STAOptions configures the synthetic timing model used by Evaluate; the

@@ -97,6 +97,16 @@ func TestVerilogExportImport(t *testing.T) {
 	}
 }
 
+// placeHiDaP runs the registry's HiDaP flow on d under default settings.
+func placeHiDaP(d *hidap.Design) (*hidap.Placement, error) {
+	p, err := hidap.Lookup("hidap")
+	if err != nil {
+		return nil, err
+	}
+	pl, _, err := p.Place(context.Background(), d, hidap.NewConfig())
+	return pl, err
+}
+
 // TestPlaceOverfullDie injects an infeasible instance: macros whose total
 // area exceeds the die. The flow must not panic and must keep macros
 // inside the die (overlaps allowed only if physically unavoidable — here
@@ -114,11 +124,11 @@ func TestPlaceOverfullDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, err := placeHiDaP(d)
 	if err != nil {
 		t.Fatalf("Place should degrade gracefully: %v", err)
 	}
-	if err := res.Placement.MacrosInsideDie(); err != nil {
+	if err := pl.MacrosInsideDie(); err != nil {
 		t.Error(err)
 	}
 }
@@ -133,12 +143,12 @@ func TestPlaceMacroLargerThanDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, err := placeHiDaP(d)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}
 	m := d.Macros()[0]
-	r := res.Placement.Rect(m)
+	r := pl.Rect(m)
 	if r.X != 0 && r.X2() != d.Die.X2() {
 		t.Errorf("oversized macro not anchored to die: %v", r)
 	}
@@ -161,15 +171,15 @@ func TestPlaceMacroOnlyDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, err := placeHiDaP(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov := res.Placement.MacroOverlapArea(); ov != 0 {
+	if ov := pl.MacroOverlapArea(); ov != 0 {
 		t.Errorf("overlap = %d", ov)
 	}
 	// Cell placement over a macro-only design is a no-op but must succeed.
-	if err := hidap.PlaceCells(res.Placement); err != nil {
+	if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,15 +212,15 @@ func TestRestartsImproveOrKeep(t *testing.T) {
 // TestDEFHandoff: place, export DEF, re-import onto a fresh placement.
 func TestDEFHandoff(t *testing.T) {
 	g := circuits.ABCDX()
-	res, err := hidap.Place(g.Design, hidap.DefaultOptions())
+	pl, err := placeHiDaP(g.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := hidap.WriteDEF(&sb, res.Placement); err != nil {
+	if err := hidap.WriteDEF(&sb, pl); err != nil {
 		t.Fatal(err)
 	}
-	fresh := res.Placement.Clone()
+	fresh := pl.Clone()
 	for _, m := range g.Design.Macros() {
 		fresh.Placed[m] = false
 	}
@@ -218,7 +228,7 @@ func TestDEFHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range g.Design.Macros() {
-		if fresh.Pos[m] != res.Placement.Pos[m] || fresh.Orient[m] != res.Placement.Orient[m] {
+		if fresh.Pos[m] != pl.Pos[m] || fresh.Orient[m] != pl.Orient[m] {
 			t.Fatalf("DEF handoff mismatch on %s", g.Design.Cell(m).Name)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/autocluster"
 	"repro/internal/eval"
 	"repro/internal/layout"
-	"repro/internal/sta"
 )
 
 func tinyCircuit() *circuits.Generated {
@@ -98,25 +97,6 @@ func TestRunUnknownFlow(t *testing.T) {
 	g := tinyCircuit()
 	if _, _, err := Run(context.Background(), g, Flow("nope"), fastOpts()); err == nil {
 		t.Error("expected error for unknown flow")
-	}
-}
-
-func TestCalibrateSTA(t *testing.T) {
-	g := tinyCircuit()
-	opt := CalibrateSTA(g.Design, sta.Options{})
-	if opt.WirePsPerDBU <= 0 {
-		t.Fatalf("calibrated wire delay = %v", opt.WirePsPerDBU)
-	}
-	// A full die crossing must consume several clock periods' worth of
-	// wire budget: delay(span) > clock.
-	span := float64(g.Design.Die.W + g.Design.Die.H)
-	if opt.IntrinsicPs+opt.WirePsPerDBU*span/2 <= opt.ClockPs {
-		t.Error("calibration too lax: a half-span wire should violate")
-	}
-	// Explicit values pass through untouched.
-	fixed := CalibrateSTA(g.Design, sta.Options{ClockPs: 1000, IntrinsicPs: 1, WirePsPerDBU: 42})
-	if fixed.WirePsPerDBU != 42 {
-		t.Error("explicit wire delay overridden")
 	}
 }
 

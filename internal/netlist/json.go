@@ -20,7 +20,7 @@ type jsonDesign struct {
 	Cells     []jsonCell `json:"cells"`
 	Nets      []string   `json:"nets"`
 	Pins      []jsonPin  `json:"pins"`
-	PortPos   [][3]int64 `json:"port_pos,omitempty"` // cell, x, y
+	PortPos   [][]int64  `json:"port_pos,omitempty"` // cell, x, y
 }
 
 type jsonCell struct {
@@ -70,7 +70,7 @@ func WriteJSON(w io.Writer, d *Design) error {
 		id := CellID(i)
 		if d.Cells[i].Kind == KindPort && d.HasPortPos(id) {
 			pp := d.PortPos(id)
-			jd.PortPos = append(jd.PortPos, [3]int64{int64(id), pp.X, pp.Y})
+			jd.PortPos = append(jd.PortPos, []int64{int64(id), pp.X, pp.Y})
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -84,6 +84,10 @@ func ReadJSON(r io.Reader) (*Design, error) {
 	if err := dec.Decode(&jd); err != nil {
 		return nil, fmt.Errorf("netlist: json: %w", err)
 	}
+	if jd.Die[2] < 0 || jd.Die[3] < 0 {
+		// A zero extent keeps its meaning: Build auto-sizes the die.
+		return nil, fmt.Errorf("netlist: json die %v: negative width or height", jd.Die)
+	}
 	b := NewBuilder(jd.Name)
 	b.SetDie(geom.RectXYWH(jd.Die[0], jd.Die[1], jd.Die[2], jd.Die[3]))
 	if jd.RowHeight > 0 {
@@ -93,6 +97,12 @@ func ReadJSON(r io.Reader) (*Design, error) {
 		kind, err := parseKind(jc.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("netlist: json cell %d: %w", i, err)
+		}
+		if jc.W < 0 || jc.H < 0 {
+			return nil, fmt.Errorf("netlist: json cell %d (%s): negative size %dx%d", i, jc.Name, jc.W, jc.H)
+		}
+		if kind == KindMacro && (jc.W == 0 || jc.H == 0) {
+			return nil, fmt.Errorf("netlist: json cell %d (%s): macro needs a positive size, got %dx%d", i, jc.Name, jc.W, jc.H)
 		}
 		b.AddCell(jc.Name, kind, jc.W, jc.H, jc.Hier)
 	}
@@ -110,7 +120,16 @@ func ReadJSON(r io.Reader) (*Design, error) {
 		}
 		b.ConnectAt(CellID(jp.Cell), netIDs[jp.Net], dir, geom.Pt(jp.OffX, jp.OffY))
 	}
-	for _, pp := range jd.PortPos {
+	for i, pp := range jd.PortPos {
+		if len(pp) != 3 {
+			return nil, fmt.Errorf("netlist: json port_pos %d: want [cell, x, y], got %d values", i, len(pp))
+		}
+		if pp[0] < 0 || pp[0] >= int64(len(jd.Cells)) {
+			return nil, fmt.Errorf("netlist: json port_pos %d: cell %d out of range", i, pp[0])
+		}
+		if k := jd.Cells[pp[0]].Kind; k != "port" {
+			return nil, fmt.Errorf("netlist: json port_pos %d: cell %d is a %s, not a port", i, pp[0], k)
+		}
 		b.SetPortPos(CellID(pp[0]), geom.Pt(pp[1], pp[2]))
 	}
 	return b.Build()

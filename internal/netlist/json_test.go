@@ -74,11 +74,38 @@ func TestReadJSONErrors(t *testing.T) {
 		{"garbage", "{not json", "json"},
 		{"bad kind", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"gizmo"}],"nets":[],"pins":[]}`, "kind"},
 		{"bad net ref", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"comb","w":1,"h":1}],"nets":[],"pins":[{"cell":0,"net":5,"dir":"in"}]}`, "range"},
+		{"negative die width", `{"name":"x","die":[0,0,-10,10],"cells":[{"name":"c","kind":"comb","w":1,"h":1}]}`, "die"},
+		{"negative die height", `{"name":"x","die":[0,0,10,-10],"cells":[{"name":"c","kind":"comb","w":1,"h":1}]}`, "die"},
+		{"negative cell width", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"comb","w":-1,"h":1}]}`, "negative size"},
+		{"negative cell height", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"flop","w":1,"h":-1}]}`, "negative size"},
+		{"negative macro width", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"m","kind":"macro","w":-4,"h":4}]}`, "negative size"},
+		{"zero macro height", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"m","kind":"macro","w":4}]}`, "positive size"},
+		{"port_pos cell out of range", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"p","kind":"port"}],"port_pos":[[3,0,0]]}`, "out of range"},
+		{"port_pos negative cell", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"p","kind":"port"}],"port_pos":[[-1,0,0]]}`, "out of range"},
+		{"port_pos short tuple", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"p","kind":"port"}],"port_pos":[[0,5]]}`, "[cell, x, y]"},
+		{"port_pos long tuple", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"p","kind":"port"}],"port_pos":[[0,5,5,5]]}`, "[cell, x, y]"},
+		{"port_pos on non-port", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"comb","w":1,"h":1}],"port_pos":[[0,5,5]]}`, "not a port"},
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.frag)
 		}
+	}
+}
+
+// TestReadJSONZeroDieAutoSizes: an all-zero die is the documented request
+// for an auto-sized die, not a malformed one.
+func TestReadJSONZeroDieAutoSizes(t *testing.T) {
+	src := `{"name":"x","die":[0,0,0,0],"cells":[{"name":"m","kind":"macro","w":40,"h":30},{"name":"p","kind":"port"}],"port_pos":[[1,0,5]]}`
+	d, err := ReadJSON(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Die.Empty() {
+		t.Errorf("die = %v, want auto-sized", d.Die)
+	}
+	if got := d.PortPos(1); got != geom.Pt(0, 5) {
+		t.Errorf("port pos = %v", got)
 	}
 }
 
