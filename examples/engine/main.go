@@ -1,10 +1,10 @@
 // Engine: the long-lived run model, end to end.
 //
-// One hidap.Engine fans a mini evaluation suite (two circuits × three
-// flows) through its bounded worker pool with SubmitBatch, streams
-// completions as they land, and then shows the warm-cache effect: a second
-// job on an already-served design skips Gseq construction and reuses the
-// engine's pooled annealing scratch.
+// One hidap.Engine runs a mini evaluation suite (two circuits × three
+// flows) through its bounded worker pool: one circuit job per
+// (circuit, flow), completions streamed from Results as they land. It then
+// shows the warm-cache effect: a second job on an already-served design
+// skips Gseq construction and reuses the engine's pooled annealing scratch.
 //
 //	go run ./examples/engine
 package main
@@ -27,13 +27,6 @@ func main() {
 	)
 	defer eng.Close()
 
-	// Stream completions while the batch runs.
-	go func() {
-		for tk := range eng.Results() {
-			fmt.Printf("  [done] %-18s state=%s\n", tk.Label(), tk.State())
-		}
-	}()
-
 	// A mini suite: two scaled-down paper circuits, all three flows.
 	c1, err := circuits.SuiteSpec("c1")
 	if err != nil {
@@ -46,19 +39,28 @@ func main() {
 	}
 	c8.Scale = 1000
 
+	// Subscribe before submitting so no completion is missed.
+	results := eng.Results()
 	fmt.Println("submitting 2 circuits x 3 flows through the engine:")
-	batch, err := eng.SubmitBatch(ctx, hidap.Suite{Circuits: []circuits.Spec{c1, c8}})
-	if err != nil {
-		log.Fatal(err)
+	jobs := 0
+	for _, spec := range []circuits.Spec{c1, c8} {
+		for _, fl := range []hidap.Flow{hidap.FlowIndEDA, hidap.FlowHiDaP, hidap.FlowHandFP} {
+			spec := spec
+			if _, err := eng.Submit(ctx, hidap.Job{
+				Circuit: &spec, Flow: fl, Label: fmt.Sprintf("%s/%s", spec.Name, fl),
+			}); err != nil {
+				log.Fatal(err)
+			}
+			jobs++
+		}
 	}
-	res, err := batch.Wait(ctx)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("\nTable II over the mini suite:")
-	for _, s := range res.Summaries {
-		fmt.Printf("  %-8s WLnorm geomean %.3f, WNS mean %.1f%%\n", s.Flow, s.WLGeoMean, s.WNSMean)
+	for ; jobs > 0; jobs-- {
+		tk := <-results
+		res, err := tk.Result()
+		if err != nil {
+			log.Fatalf("%s: %v", tk.Label(), err)
+		}
+		fmt.Printf("  [done] %-10s WL %.4f m, WNS %.1f%%\n", tk.Label(), res.Metrics.WirelengthM, res.Metrics.WNSPct)
 	}
 
 	// Warm-cache demo: two identical jobs on one design. The second one
@@ -77,6 +79,7 @@ func main() {
 		if _, err := t.Wait(ctx); err != nil {
 			log.Fatal(err)
 		}
+		<-results // the stream carries these completions too
 		fmt.Printf("\n%s same-design job: %v", run, time.Since(start).Round(time.Millisecond))
 	}
 	st := eng.Stats()

@@ -18,8 +18,8 @@ type AutoclusterParams = autocluster.Params
 // DefaultAutocluster returns the default autoclustering knobs.
 func DefaultAutocluster() AutoclusterParams { return autocluster.DefaultParams() }
 
-// Progress aliases: the per-level / per-candidate events delivered to a
-// WithProgress callback while a placer runs.
+// Progress aliases: the per-level events delivered to a WithProgress
+// callback while a placer runs.
 type (
 	// Progress is one event of a running placement.
 	Progress = core.Progress
@@ -34,9 +34,6 @@ const (
 	StageLevel = core.StageLevel
 	// StageFlips reports the macro-flipping post-process.
 	StageFlips = core.StageFlips
-	// StageCandidate reports one evaluated candidate of a multi-candidate
-	// run.
-	StageCandidate = core.StageCandidate
 )
 
 // Config parameterizes a Placer run. Build one with NewConfig and functional
@@ -55,10 +52,11 @@ type Config struct {
 	// Parallelism.
 	Restarts int
 	// Parallelism sizes the work-stealing scheduler a run's whole solve
-	// DAG — sibling hierarchy subtrees, per-level restart chains, and (in
-	// harness runs) placement candidates — drains through: 1 keeps the run
-	// on the calling goroutine, <= 0 uses all cores. It trades wall time
-	// only, never the result.
+	// DAG — sibling hierarchy subtrees and per-level restart chains —
+	// drains through: 1 keeps the run on the calling goroutine, <= 0 uses
+	// all cores. Engine jobs that leave it <= 0 run with 1 on multi-worker
+	// engines, whose worker pool is the outer parallelism layer. It trades
+	// wall time only, never the result.
 	Parallelism int
 	// Seed drives all stochastic steps; equal seeds give equal placements.
 	Seed int64
@@ -70,15 +68,15 @@ type Config struct {
 	// Intent maps macro names to intended outlines; required by the
 	// "handfp" placer, ignored by the others.
 	Intent Intent
-	// Progress, when set, streams per-level (and, in harness runs,
-	// per-candidate) events so a server can report status for long runs.
+	// Progress, when set, streams per-level and flipping events so a
+	// server can report status for long runs.
 	Progress ProgressFunc
 	// Autocluster, when set, runs the hierarchy-synthesis front-end before
-	// HiDaP placement: flat (or badly shaped) netlists get a synthesized
-	// physical hierarchy honoring the given bounds; well-shaped ones pass
-	// through untouched. Engines cache the clustered design per
-	// (design, params). Ignored by the "indeda" and "handfp" placers, which
-	// never read the hierarchy.
+	// placement: flat (or badly shaped) netlists get a synthesized physical
+	// hierarchy honoring the given bounds; well-shaped ones pass through
+	// untouched. Placer.Place clusters on every call; an Engine clusters
+	// once per (design, params) and caches the result. Ignored by the
+	// "indeda" and "handfp" placers, which never read the hierarchy.
 	Autocluster *AutoclusterParams
 
 	// seqGraph, tree, bipartite and pool are warm-cache plumbing set by an

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -24,15 +23,12 @@ import (
 )
 
 // Flow harness aliases: the suite pipeline (Tables II/III) surfaced through
-// the public API so a serving engine can fan a whole evaluation through its
-// worker pool.
+// the public API for the engine's circuit jobs.
 type (
 	// Flow names a macro-placement flow of the paper's evaluation.
 	Flow = flows.Flow
 	// FlowMetrics is one Table III row: circuit, flow, Report, WLnorm.
 	FlowMetrics = flows.Metrics
-	// FlowSummary is one Table II row.
-	FlowSummary = flows.Summary
 	// CircuitSpec parameterizes one synthetic suite design.
 	CircuitSpec = circuits.Spec
 )
@@ -46,7 +42,7 @@ const (
 
 // Engine errors.
 var (
-	// ErrEngineClosed is returned by Submit/Run after Close.
+	// ErrEngineClosed is returned by Submit after Close.
 	ErrEngineClosed = errors.New("hidap: engine closed")
 	// ErrQueueFull is returned by Submit when MaxPending jobs are queued.
 	ErrQueueFull = errors.New("hidap: engine queue full")
@@ -104,10 +100,6 @@ type Job struct {
 	Config *Config
 	// Label is an opaque tag echoed on the result and its Report.
 	Label string
-
-	// placer carries a pre-resolved Placer (set by Placer.Place wrappers),
-	// so placers that were never registered still run through the engine.
-	placer Placer
 }
 
 // JobResult is the outcome of a finished job.
@@ -248,13 +240,11 @@ type EngineStats struct {
 	ClusterCacheHits uint64 `json:"cluster_cache_hits"`
 }
 
-// Engine is the long-lived run model of the package: a bounded worker pool
-// fed by Submit/SubmitBatch, a per-engine circuit cache (parsed designs and
-// their sequential graphs, keyed by content hash) and pooled annealing
-// scratch, so back-to-back jobs on the same design run allocation-warm.
-// One Engine serves concurrent callers; all methods are safe for concurrent
-// use. Placer.Place is a thin wrapper over a shared single-job engine, so
-// the one-shot registry API inherits the same caches.
+// Engine runs repeated jobs: a bounded worker pool fed by Submit, a
+// per-engine design and circuit cache (parsed designs and their sequential
+// graphs, keyed by content hash) and pooled annealing scratch, so
+// back-to-back jobs on the same design run allocation-warm. One Engine
+// serves concurrent callers; all methods are safe for concurrent use.
 type Engine struct {
 	cfg        *Config
 	workers    int
@@ -266,7 +256,6 @@ type Engine struct {
 	closed  bool
 	quit    chan struct{} // closed at Close: unblocks stream sends
 	wg      sync.WaitGroup
-	runs    sync.WaitGroup // inline Engine.Run executions, drained by Close
 
 	pool    *slicing.EvaluatorPool
 	designs *lruCache[*cachedDesign]
@@ -292,13 +281,6 @@ type Engine struct {
 // NewEngine builds an engine whose jobs default to cfg (nil means
 // NewConfig() defaults) and starts its worker pool. Close releases it.
 func NewEngine(cfg *Config, opt EngineOptions) *Engine {
-	return newEngine(cfg, opt, true)
-}
-
-// newEngine optionally skips spawning the worker pool: the shared engine
-// behind Placer.Place only ever executes inline through Run, so it keeps no
-// parked goroutines.
-func newEngine(cfg *Config, opt EngineOptions, spawnWorkers bool) *Engine {
 	if cfg == nil {
 		cfg = NewConfig()
 	}
@@ -320,12 +302,10 @@ func newEngine(cfg *Config, opt EngineOptions, spawnWorkers bool) *Engine {
 		gens:       newLRU[*cachedCircuit](cache),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if spawnWorkers {
-		for i := 0; i < workers; i++ {
-			e.wg.Add(1)
-			//hidapvet:allow gocap long-lived engine worker pool, bounded by Workers and joined via wg on Close; not per-solve fan-out
-			go e.worker()
-		}
+	for i := 0; i < workers; i++ {
+		e.wg.Add(1)
+		//hidapvet:allow gocap long-lived engine worker pool, bounded by Workers and joined via wg on Close; not per-solve fan-out
+		go e.worker()
 	}
 	return e
 }
@@ -391,20 +371,11 @@ func (e *Engine) noteAutocluster(stats autocluster.Stats, fresh bool) {
 // never blocks: it returns ErrQueueFull when MaxPending jobs are already
 // queued and ErrEngineClosed after Close.
 func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
-	return e.submit(ctx, job, false)
-}
-
-// submit enqueues one job. Bulk submissions (SubmitBatch) bypass the
-// MaxPending bound: that bound sheds load from a request-at-a-time
-// endpoint, while a batch is one deliberate operation whose size is known
-// up front — rejecting its tail nondeterministically would make bounded
-// engines unable to run any realistically sized suite.
-func (e *Engine) submit(ctx context.Context, job Job, bulk bool) (*Ticket, error) {
 	// Reject overload/shutdown before prepare: an engine refusing work must
 	// not pay the content hash nor let rejected traffic churn warm cache
 	// entries out of the LRU. The check repeats under the lock below for
 	// the (rare) race where the queue fills during prepare.
-	if err := e.acceptable(bulk); err != nil {
+	if err := e.acceptable(); err != nil {
 		return nil, err
 	}
 	t, err := e.prepare(ctx, job)
@@ -417,7 +388,7 @@ func (e *Engine) submit(ctx context.Context, job Job, bulk bool) (*Ticket, error
 		e.mu.Unlock()
 		t.cancel()
 		return nil, ErrEngineClosed
-	case !bulk && e.maxPending > 0 && len(e.pending) >= e.maxPending:
+	case e.maxPending > 0 && len(e.pending) >= e.maxPending:
 		e.mu.Unlock()
 		t.cancel()
 		return nil, ErrQueueFull
@@ -440,43 +411,16 @@ func (e *Engine) submit(ctx context.Context, job Job, bulk bool) (*Ticket, error
 	return t, nil
 }
 
-func (e *Engine) acceptable(bulk bool) error {
+func (e *Engine) acceptable() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch {
 	case e.closed:
 		return ErrEngineClosed
-	case !bulk && e.maxPending > 0 && len(e.pending) >= e.maxPending:
+	case e.maxPending > 0 && len(e.pending) >= e.maxPending:
 		return ErrQueueFull
 	}
 	return nil
-}
-
-// Run executes one job synchronously on the caller's goroutine, outside the
-// worker pool but inside the engine's caches and scratch pool. It is the
-// single-job path behind Placer.Place.
-func (e *Engine) Run(ctx context.Context, job Job) (*JobResult, error) {
-	t, err := e.prepare(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	defer t.cancel()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrEngineClosed
-	}
-	// Registered under the engine lock so Close (which flips closed under
-	// the same lock before waiting) cannot miss an in-flight Run.
-	e.runs.Add(1)
-	e.mu.Unlock()
-	defer e.runs.Done()
-	t.phase.Store(1)
-	e.running.Add(1)
-	res, err := e.execute(t)
-	e.running.Add(-1)
-	e.finish(err)
-	return res, err
 }
 
 // finish tallies one terminal job outcome.
@@ -497,7 +441,7 @@ func (e *Engine) finish(err error) {
 // Close); a stalled consumer applies backpressure to the pool, never to
 // Close — completions that race shutdown are dropped from the stream
 // (Ticket.Wait/Result still return them). Tickets finished before the
-// first call, cancelled while queued, or run inline are not streamed.
+// first call or cancelled while queued are not streamed.
 func (e *Engine) Results() <-chan *Ticket {
 	e.resultsMu.Lock()
 	defer e.resultsMu.Unlock()
@@ -510,9 +454,8 @@ func (e *Engine) Results() <-chan *Ticket {
 	return e.results
 }
 
-// Close stops accepting jobs, drains every queued and running job —
-// including jobs executing inline through Run — then closes the Results
-// stream. It is idempotent and safe to call concurrently; all calls block
+// Close stops accepting jobs, drains every queued and running job, then
+// closes the Results stream. It is idempotent and safe to call concurrently; all calls block
 // until the drain completes.
 func (e *Engine) Close() {
 	e.mu.Lock()
@@ -523,7 +466,6 @@ func (e *Engine) Close() {
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
-	e.runs.Wait()
 	e.resultsMu.Lock()
 	if !e.resultsClosed {
 		e.resultsClosed = true
@@ -532,118 +474,6 @@ func (e *Engine) Close() {
 		}
 	}
 	e.resultsMu.Unlock()
-}
-
-// Suite describes a SubmitBatch fan-out: the cross product of circuits,
-// flows and seeds, one job each.
-type Suite struct {
-	// Circuits are the synthetic designs to evaluate.
-	Circuits []CircuitSpec
-	// Flows to run per circuit; nil means all three paper flows.
-	Flows []Flow
-	// Seeds per (circuit, flow); nil means the base config's seed.
-	Seeds []int64
-	// Config is the base per-job config (effort, λ defaults); the seed is
-	// overridden per job. Nil means the engine default.
-	Config *Config
-}
-
-// Batch tracks the tickets of one SubmitBatch call.
-type Batch struct {
-	// Tickets in submit order: circuits × flows × seeds, innermost seeds.
-	Tickets []*Ticket
-
-	// seeds holds each ticket's seed so Wait can normalize per seed group.
-	seeds []int64
-}
-
-// SuiteResult aggregates a finished batch through the shared evaluation
-// pipeline: normalized Table III rows plus the Table II summary.
-type SuiteResult struct {
-	Rows      []*FlowMetrics `json:"rows"`
-	Summaries []FlowSummary  `json:"summary"`
-}
-
-// SubmitBatch fans a suite through the worker pool, one job per
-// (circuit, flow, seed). Repeated circuits across jobs share one cached
-// design and sequential graph. ctx parents every job. A batch is exempt
-// from the MaxPending bound: the whole suite is accepted atomically and
-// drains through the Workers-bounded pool.
-func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
-	if len(s.Circuits) == 0 {
-		return nil, errors.New("hidap: SubmitBatch needs at least one circuit")
-	}
-	fl := s.Flows
-	if len(fl) == 0 {
-		fl = []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP}
-	}
-	base := s.Config
-	if base == nil {
-		base = e.cfg
-	}
-	seeds := s.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{base.Seed}
-	}
-	b := &Batch{}
-	for _, spec := range s.Circuits {
-		for _, f := range fl {
-			for _, seed := range seeds {
-				cfg := *base
-				cfg.Seed = seed
-				spec := spec
-				t, err := e.submit(ctx, Job{
-					Circuit: &spec,
-					Flow:    f,
-					Config:  &cfg,
-					Label:   fmt.Sprintf("%s/%s/seed%d", spec.Name, f, seed),
-				}, true)
-				if err != nil {
-					b.Cancel()
-					return nil, err
-				}
-				b.Tickets = append(b.Tickets, t)
-				b.seeds = append(b.seeds, seed)
-			}
-		}
-	}
-	return b, nil
-}
-
-// Cancel aborts every job of the batch.
-func (b *Batch) Cancel() {
-	for _, t := range b.Tickets {
-		t.Cancel()
-	}
-}
-
-// Wait blocks until every job finishes, then aggregates the rows through
-// flows.Normalize/Summarize. Normalization runs per seed group, so with
-// multiple seeds every row is normalized against its own seed's handFP
-// reference (each handFP row is exactly 1.0) instead of cross-seed
-// contamination. The first job *failure* cancels the remainder and is
-// returned; an expired wait context merely returns its error — the jobs
-// keep running and a later Wait picks them up.
-func (b *Batch) Wait(ctx context.Context) (*SuiteResult, error) {
-	rows := make([]*FlowMetrics, 0, len(b.Tickets))
-	bySeed := map[int64][]*FlowMetrics{}
-	for i, t := range b.Tickets {
-		res, err := t.Wait(ctx)
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return nil, err // the wait expired, not the batch
-			}
-			b.Cancel()
-			return nil, fmt.Errorf("hidap: batch job %q: %w", t.Label(), err)
-		}
-		rows = append(rows, res.Metrics)
-		bySeed[b.seeds[i]] = append(bySeed[b.seeds[i]], res.Metrics)
-	}
-	//hidapvet:orderinvariant per-seed groups are disjoint; Normalize mutates each group in isolation, so visit order cannot matter
-	for _, group := range bySeed {
-		flows.Normalize(group)
-	}
-	return &SuiteResult{Rows: rows, Summaries: flows.Summarize(rows)}, nil
 }
 
 // prepare validates a job, interns its design/circuit in the engine caches
@@ -660,18 +490,15 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 	case job.Design != nil && job.Circuit != nil:
 		return nil, errors.New("hidap: job sets both Design and Circuit")
 	case job.Design != nil:
-		t.placer = job.placer
-		if t.placer == nil {
-			name := job.Placer
-			if name == "" {
-				name = "hidap"
-			}
-			p, err := Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			t.placer = p
+		name := job.Placer
+		if name == "" {
+			name = "hidap"
 		}
+		p, err := Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		t.placer = p
 		key := job.Key
 		if key == "" {
 			var err error
@@ -785,15 +612,10 @@ func (e *Engine) resultsStream() chan *Ticket {
 	return e.results
 }
 
-// execute runs one job on the caller's goroutine. A panicking job (a
-// degenerate design tripping an internal invariant) is converted into a job
-// error: one bad job must not take down the engine or a server built on it.
+// execute runs one job on the caller's goroutine. A panicking job is
+// converted into a job error (see recoverPanic).
 func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hidap: job %d (%q) panicked: %v\n%s", t.id, t.label, r, debug.Stack())
-		}
-	}()
+	defer recoverPanic(&err, fmt.Sprintf("job %d (%q)", t.id, t.label))
 	ctx := t.ctx
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -823,10 +645,7 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 // in on the config.
 func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
 	cd := t.cd
-	if cfg.Autocluster != nil && t.placer.Name() != "indeda" && t.placer.Name() != "handfp" {
-		// Hierarchy-consuming placers get the autoclustered variant; indeda
-		// and handfp never read the hierarchy, so clustering for them would
-		// be wasted work.
+	if cfg.Autocluster != nil && readsHierarchy(t.placer.Name()) {
 		ent, fresh, err := cd.clustered(*cfg.Autocluster)
 		if err != nil {
 			return nil, err
@@ -834,6 +653,9 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 		e.noteAutocluster(ent.stats, fresh)
 		cd = ent.cd
 	}
+	// The engine owns the front-end: the placer gets the (cached) clustered
+	// design and must not cluster it again.
+	cfg.Autocluster = nil
 	d := cd.d
 	if t.placer.Name() == "hidap" {
 		// Only the paper's flow consumes these during placement; building
@@ -845,7 +667,7 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 		cfg.bipartite = cd.bipartite()
 	}
 	cfg.pool = e.pool
-	pl, stats, err := placerRun(ctx, t.placer, d, cfg)
+	pl, stats, err := t.placer.Place(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -909,17 +731,6 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 		Report:    &m.Report,
 		Metrics:   m,
 	}, nil
-}
-
-// placerRun dispatches to a placer's implementation. Built-in flows (and
-// any Placer built with PlacerFunc) are unwrapped to their raw function:
-// their Place method routes through the shared engine, and unwrapping here
-// is what keeps that loop open instead of recursive.
-func placerRun(ctx context.Context, p Placer, d *Design, cfg *Config) (*Placement, Stats, error) {
-	if pf, ok := p.(placerFunc); ok {
-		return pf.fn(ctx, d, cfg)
-	}
-	return p.Place(ctx, d, cfg)
 }
 
 // cachedDesign is one design cache entry: the canonical parsed instance and
@@ -1076,23 +887,4 @@ func (c *lruCache[V]) flush() {
 	defer c.mu.Unlock()
 	c.m = make(map[string]*list.Element)
 	c.l.Init()
-}
-
-// sharedEngine is the process-wide single-job engine behind Placer.Place:
-// one-shot callers inherit its scratch pool and a small design cache
-// without managing an Engine themselves. It spawns no worker goroutines
-// (Place executes inline through Run) and its cache is deliberately small —
-// Place retains at most the last 16 distinct designs (keyed by pointer
-// identity, see placerFunc.Place), a bounded warm set rather than an
-// accumulating one.
-var (
-	sharedOnce sync.Once
-	sharedInst *Engine
-)
-
-func sharedEngine() *Engine {
-	sharedOnce.Do(func() {
-		sharedInst = newEngine(nil, EngineOptions{CacheSize: 16}, false)
-	})
-	return sharedInst
 }

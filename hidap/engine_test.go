@@ -33,6 +33,15 @@ func fastCfg(seed int64) *hidap.Config {
 	return hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(seed))
 }
 
+// runJob submits one job and waits for its result.
+func runJob(eng *hidap.Engine, job hidap.Job) (*hidap.JobResult, error) {
+	tk, err := eng.Submit(context.Background(), job)
+	if err != nil {
+		return nil, err
+	}
+	return tk.Wait(context.Background())
+}
+
 // TestEngineConcurrentLoad floods one engine with mixed concurrent jobs —
 // repeated designs, all three flows, several seeds — and checks that every
 // job completes with a correct Report, that identical jobs stay
@@ -142,12 +151,12 @@ func TestEngineWarmCacheAllocs(t *testing.T) {
 	defer eng.Close()
 
 	job := hidap.Job{Design: g.Design, Key: "warm", Placer: "hidap", Config: fastCfg(1)}
-	// Run executes on this goroutine, so ReadMemStats brackets exactly the
-	// job's own allocations — no racing worker to under- or over-count.
+	// The single worker runs one job at a time and is parked between jobs,
+	// so ReadMemStats brackets exactly one job's allocations.
 	mallocs := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := eng.Run(context.Background(), job); err != nil {
+		if _, err := runJob(eng, job); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -177,7 +186,7 @@ func BenchmarkEngineSameDesign(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
-			if _, err := eng.Run(context.Background(), job); err != nil {
+			if _, err := runJob(eng, job); err != nil {
 				b.Fatal(err)
 			}
 			eng.Close()
@@ -186,13 +195,13 @@ func BenchmarkEngineSameDesign(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
 		defer eng.Close()
-		if _, err := eng.Run(context.Background(), job); err != nil {
+		if _, err := runJob(eng, job); err != nil {
 			b.Fatal(err) // prime the caches outside the timed loop
 		}
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), job); err != nil {
+			if _, err := runJob(eng, job); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -267,43 +276,6 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 	}
 }
 
-// TestEngineCloseWaitsForRun: Close's drain contract covers jobs executing
-// inline through Run (the Placer.Place path), not only pool workers.
-func TestEngineCloseWaitsForRun(t *testing.T) {
-	started := make(chan struct{}, 4)
-	hidap.MustRegister(blockingPlacer("test-engine-run-block", started))
-	g := circuits.ABCDX()
-	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
-		_, _ = eng.Run(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-run-block"})
-	}()
-	select {
-	case <-started:
-	case <-time.After(10 * time.Second):
-		t.Fatal("inline run never started")
-	}
-
-	closeDone := make(chan struct{})
-	go func() { eng.Close(); close(closeDone) }()
-	select {
-	case <-closeDone:
-		t.Fatal("Close returned while an inline Run was still executing")
-	case <-time.After(100 * time.Millisecond):
-	}
-	cancel() // release the blocked job; Close must now complete
-	select {
-	case <-closeDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close never finished after the inline run ended")
-	}
-	<-runDone
-}
-
 // TestEngineLambdaPin: Job.Lambdas overrides the circuit pipeline's λ sweep.
 func TestEngineLambdaPin(t *testing.T) {
 	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
@@ -350,9 +322,6 @@ func TestEngineCloseDrainsAndRejects(t *testing.T) {
 	if _, err := eng.Submit(ctx, hidap.Job{Design: g.Design}); !errors.Is(err, hidap.ErrEngineClosed) {
 		t.Errorf("submit after close err = %v, want ErrEngineClosed", err)
 	}
-	if _, err := eng.Run(ctx, hidap.Job{Design: g.Design}); !errors.Is(err, hidap.ErrEngineClosed) {
-		t.Errorf("run after close err = %v, want ErrEngineClosed", err)
-	}
 	eng.Close() // idempotent
 }
 
@@ -380,41 +349,6 @@ func TestEngineResultsStream(t *testing.T) {
 	eng.Close()
 	if _, open := <-results; open {
 		t.Error("results stream still open after Close")
-	}
-}
-
-func TestEngineSubmitBatch(t *testing.T) {
-	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 4})
-	defer eng.Close()
-	batch, err := eng.SubmitBatch(context.Background(), hidap.Suite{
-		Circuits: []circuits.Spec{loadSpecA(), loadSpecB()},
-		Config:   fastCfg(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Tickets) != 6 {
-		t.Fatalf("tickets = %d, want 2 circuits x 3 flows", len(batch.Tickets))
-	}
-	res, err := batch.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 6 || len(res.Summaries) != 3 {
-		t.Fatalf("rows = %d, summaries = %d", len(res.Rows), len(res.Summaries))
-	}
-	for _, r := range res.Rows {
-		if r.WLnorm <= 0 {
-			t.Errorf("%s/%s: WLnorm = %v after Normalize", r.Circuit, r.Flow, r.WLnorm)
-		}
-		if r.Flow == hidap.FlowHandFP && r.WLnorm != 1 {
-			t.Errorf("%s handFP norm = %v, want 1", r.Circuit, r.WLnorm)
-		}
-	}
-	for _, s := range res.Summaries {
-		if s.WLGeoMean <= 0 {
-			t.Errorf("%s: geomean = %v", s.Flow, s.WLGeoMean)
-		}
 	}
 }
 
@@ -448,70 +382,6 @@ func TestEnginePanicIsolated(t *testing.T) {
 	}
 	if res, err := tk2.Wait(ctx); err != nil || !res.Placement.AllMacrosPlaced() {
 		t.Fatalf("job after panic: %v", err)
-	}
-}
-
-// TestEngineBatchBypassesMaxPending: a batch is one deliberate bulk
-// operation — it must be accepted whole even when it exceeds the
-// request-endpoint queue bound, and an expired wait context must not
-// cancel it.
-func TestEngineBatchBypassesMaxPending(t *testing.T) {
-	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1, MaxPending: 1})
-	defer eng.Close()
-	batch, err := eng.SubmitBatch(context.Background(), hidap.Suite{
-		Circuits: []circuits.Spec{loadSpecA()},
-		Config:   fastCfg(1),
-	})
-	if err != nil {
-		t.Fatalf("batch larger than MaxPending rejected: %v", err)
-	}
-	if len(batch.Tickets) != 3 {
-		t.Fatalf("tickets = %d, want 3", len(batch.Tickets))
-	}
-	// An expired wait returns its own error and leaves the batch running.
-	expired, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, err := batch.Wait(expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired wait err = %v", err)
-	}
-	res, err := batch.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("re-Wait after expired wait: %v (batch must not be cancelled)", err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
-	}
-}
-
-// TestEngineBatchMultiSeed: with several seeds, every row must be
-// normalized against its own seed's handFP reference — each handFP row is
-// exactly 1.0, never a cross-seed ratio.
-func TestEngineBatchMultiSeed(t *testing.T) {
-	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 4})
-	defer eng.Close()
-	batch, err := eng.SubmitBatch(context.Background(), hidap.Suite{
-		Circuits: []circuits.Spec{loadSpecA()},
-		Flows:    []hidap.Flow{hidap.FlowHiDaP, hidap.FlowHandFP},
-		Seeds:    []int64{1, 2},
-		Config:   fastCfg(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := batch.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 1 circuit x 2 flows x 2 seeds", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Flow == hidap.FlowHandFP && r.WLnorm != 1 {
-			t.Errorf("handFP row %q: WLnorm = %v, want exactly 1 per seed group", r.Label, r.WLnorm)
-		}
-		if r.WLnorm <= 0 {
-			t.Errorf("row %q: WLnorm = %v", r.Label, r.WLnorm)
-		}
 	}
 }
 
@@ -608,9 +478,9 @@ func TestEngineRestartsReachSolver(t *testing.T) {
 
 	run := func(cfg *hidap.Config) *hidap.JobResult {
 		t.Helper()
-		res, err := eng.Run(context.Background(), hidap.Job{Design: g.Design, Placer: "hidap", Config: cfg})
+		res, err := runJob(eng, hidap.Job{Design: g.Design, Placer: "hidap", Config: cfg})
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("job: %v", err)
 		}
 		return res
 	}

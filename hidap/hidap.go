@@ -17,17 +17,17 @@
 //	stats.Annotate(rep)                 // one JSON-ready Report
 //
 // Placers honor context cancellation and deadlines, report progress through
-// hidap.WithProgress, and are deterministic for a fixed seed. Third-party
+// hidap.WithProgress, and are deterministic for a fixed seed. Place runs on
+// the caller's goroutine with no shared state between calls. Third-party
 // flows join the registry with hidap.Register without touching this
 // package.
 //
-// # Engine: the long-lived run model
+// # Engine: repeated jobs
 //
-// Placement is a batch workload — many jobs over few designs — so the
-// package's run model is the Engine: a long-lived object owning a bounded
-// worker pool, a content-hash design cache (parsed netlists plus their
-// sequential graphs) and pooled annealing scratch. Back-to-back jobs on the
-// same design run allocation-warm; concurrent jobs share the caches
+// Use an Engine for repeated jobs on one design: a long-lived object owning
+// a bounded worker pool, a content-hash design cache (parsed netlists plus
+// their sequential graphs) and pooled annealing scratch. Back-to-back jobs
+// on the same design run allocation-warm; concurrent jobs share the caches
 // race-free:
 //
 //	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 8})
@@ -35,12 +35,9 @@
 //	t, _ := eng.Submit(ctx, hidap.Job{Design: d, Placer: "hidap", Evaluate: true})
 //	res, err := t.Wait(ctx)             // res.Report is the JSON-ready record
 //
-// Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
-// seeds) through the pool and aggregates it with the Tables II/III
-// pipeline; Engine.Results streams completions for serving layers (see
-// cmd/hidap-serve for the HTTP surface). Placer.Place is itself a thin
-// wrapper over a single job on a shared package-level engine, so the
-// one-shot API above inherits the same caches.
+// Circuit jobs (Job.Circuit) run one synthetic suite circuit through one
+// flow of the Tables II/III pipeline; Engine.Results streams completions
+// for serving layers (see cmd/hidap-serve for the HTTP surface).
 //
 // # Interchange
 //

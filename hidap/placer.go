@@ -3,10 +3,13 @@ package hidap
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/autocluster"
 	"repro/internal/core"
 	"repro/internal/handfp"
 	"repro/internal/indeda"
@@ -20,7 +23,8 @@ type SeqStats = seqgraph.Stats
 type Stats struct {
 	// Placer names the flow that produced the placement.
 	Placer string
-	// MacroSeconds is the macro-placement wall time.
+	// MacroSeconds is the macro-placement time, std-cell placement
+	// excluded; HiDaP circuit jobs sum their λ candidates' placements.
 	MacroSeconds float64
 	// Levels counts floorplanned recursion levels (hidap flow).
 	Levels int
@@ -63,12 +67,11 @@ type Placer interface {
 }
 
 // PlacerFunc adapts a placement function to the Placer interface. The
-// returned placer's Place method is a thin wrapper over a single-job run on
-// the package's shared Engine, so one-shot callers inherit its design cache
-// and warm annealing scratch; fn itself is invoked by the engine. The
-// shared cache retains at most the 16 most recently placed designs (with
-// their sequential graphs) for warm reuse; callers that manage placement
-// memory explicitly should run their own Engine and use FlushCaches.
+// returned placer's Place method defaults a nil cfg, runs the autoclustering
+// front-end when cfg.Autocluster is set (for placers that read the
+// hierarchy), converts a panic in fn into an error, and calls fn directly.
+// Use an Engine for repeated jobs on one design: it caches the design's
+// derived artifacts and annealing scratch across jobs.
 func PlacerFunc(name string, fn func(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error)) Placer {
 	return placerFunc{name: name, fn: fn}
 }
@@ -80,24 +83,42 @@ type placerFunc struct {
 
 func (p placerFunc) Name() string { return p.name }
 
-func (p placerFunc) Place(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
+func (p placerFunc) Place(ctx context.Context, d *Design, cfg *Config) (pl *Placement, st Stats, err error) {
+	defer recoverPanic(&err, "placer "+strconv.Quote(p.name))
 	if cfg == nil {
 		cfg = NewConfig()
 	}
-	// Key by pointer identity: repeated Place calls on one design hit the
-	// warm path without the content hash's full-netlist serialization.
-	// Safe because the cache entry retains d, so the address cannot be
-	// reused while the key is live; a different pointer to equal content
-	// simply misses (exactly the pre-engine behavior). Designs are frozen
-	// after Build; the structural counts in the key additionally miss the
-	// cache if a caller grows one anyway, rather than serving a placement
-	// against a stale cached Gseq.
-	key := fmt.Sprintf("ptr:%p:%d:%d", d, len(d.Cells), len(d.Nets))
-	res, err := sharedEngine().Run(ctx, Job{Design: d, Key: key, Placer: p.name, Config: cfg, placer: p})
-	if err != nil {
-		return nil, Stats{}, err
+	if cfg.Autocluster != nil && readsHierarchy(p.name) {
+		// The clustered netlist shares cells and nets with d, so the Gseq
+		// built for clustering is the clustered design's Gseq too.
+		sg := seqgraph.Build(d, seqgraph.DefaultParams())
+		res, err := autocluster.ClusterUsing(d, *cfg.Autocluster, sg)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		cc := *cfg
+		cc.Autocluster = nil
+		cc.seqGraph = sg
+		d, cfg = res.Design, &cc
 	}
-	return res.Placement, res.Stats, nil
+	return p.fn(ctx, d, cfg)
+}
+
+// readsHierarchy reports whether the named placer consumes the physical
+// hierarchy, and so gets the autoclustered design when Config.Autocluster is
+// set; "indeda" and "handfp" never read it, so clustering for them would be
+// wasted work.
+func readsHierarchy(placer string) bool {
+	return placer != "indeda" && placer != "handfp"
+}
+
+// recoverPanic converts a panic into *err. A degenerate design tripping an
+// internal invariant must fail its own run, not take down the engine or a
+// server built on it. Call it deferred.
+func recoverPanic(err *error, what string) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("hidap: %s panicked: %v\n%s", what, r, debug.Stack())
+	}
 }
 
 var (

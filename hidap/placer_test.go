@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +104,76 @@ func TestHandFPRequiresIntent(t *testing.T) {
 	}
 	if _, _, err := p.Place(context.Background(), g.Design, hidap.NewConfig()); err == nil {
 		t.Fatal("handfp without intent must fail")
+	}
+}
+
+// TestPlaceHonorsParallelism: a one-shot Place hands the placer the
+// caller's Parallelism unchanged, so the default 0 ("all cores") reaches the
+// solver instead of being pinned to a serial run on multi-core machines.
+func TestPlaceHonorsParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	got := -1
+	p := hidap.PlacerFunc("test-record-parallelism",
+		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
+			got = cfg.Parallelism
+			return nil, hidap.Stats{}, nil
+		})
+	if _, _, err := p.Place(context.Background(), circuits.ABCDX().Design, hidap.NewConfig(hidap.WithParallelism(0))); err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 {
+		t.Errorf("placer saw Parallelism %d, want 0", got)
+	}
+}
+
+// TestPlacePanicBecomesError: a panicking placer fails its own Place call
+// with an error instead of crashing the caller.
+func TestPlacePanicBecomesError(t *testing.T) {
+	p := hidap.PlacerFunc("test-place-panic",
+		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
+			panic("boom")
+		})
+	_, _, err := p.Place(context.Background(), circuits.ABCDX().Design, nil)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want panic converted to error", err)
+	}
+}
+
+// TestPlaceAutoclusterMatchesEngine: the one-shot autocluster front-end
+// places a flat design exactly like an engine job with the same config.
+func TestPlaceAutoclusterMatchesEngine(t *testing.T) {
+	g := circuits.Generate(circuits.Spec{
+		Name: "acflat", Cells: 600_000, Macros: 8, Subsystems: 2,
+		BusWidth: 32, PipelineDepth: 2, Scale: 100, Seed: 5, Flat: true,
+	})
+	cfg := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(3),
+		hidap.WithAutocluster(hidap.DefaultAutocluster()))
+	p, err := hidap.Lookup("hidap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, _, err := p.Place(context.Background(), g.Design, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	tk, err := eng.Submit(context.Background(), hidap.Job{Design: g.Design, Placer: "hidap", Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.DesignsClustered != 1 {
+		t.Fatalf("designs clustered = %d, want 1: the design must exercise the front-end", st.DesignsClustered)
+	}
+	for _, m := range g.Design.Macros() {
+		if direct.Rect(m) != res.Placement.Rect(m) {
+			t.Fatalf("macro %d: Place %v, engine job %v", m, direct.Rect(m), res.Placement.Rect(m))
+		}
 	}
 }
 

@@ -184,31 +184,6 @@ func TestPlaceMacroOnlyDesign(t *testing.T) {
 	}
 }
 
-// TestRestartsImproveOrKeep: more restarts never yield a worse WL (the
-// best is kept across all attempts).
-func TestRestartsImproveOrKeep(t *testing.T) {
-	spec, _ := circuits.SuiteSpec("c1")
-	spec.Scale = 2000
-	g := circuits.Generate(spec)
-	base := flows.DefaultOptions()
-	base.Effort = layout.EffortLow
-	base.Lambdas = []float64{0.5}
-
-	one, _, err := flows.Run(context.Background(), g, flows.FlowHiDaP, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := base
-	multi.Restarts = 3
-	three, _, err := flows.Run(context.Background(), g, flows.FlowHiDaP, multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three.WirelengthM > one.WirelengthM+1e-12 {
-		t.Errorf("3 restarts WL %v worse than 1 restart %v", three.WirelengthM, one.WirelengthM)
-	}
-}
-
 // TestDEFHandoff: place, export DEF, re-import onto a fresh placement.
 func TestDEFHandoff(t *testing.T) {
 	g := circuits.ABCDX()

@@ -40,7 +40,9 @@ type Report struct {
 	WNSPct float64 `json:"wns_pct"`
 	// TNSns is the total negative slack in nanoseconds (<= 0).
 	TNSns float64 `json:"tns_ns"`
-	// MacroSeconds is the macro-placement wall time, when known.
+	// MacroSeconds is the macro-placement time, when known; std-cell
+	// placement is never included. flows.Run's HiDaP rows report the sum
+	// of their λ candidates' core.Place durations.
 	MacroSeconds float64 `json:"macro_seconds,omitempty"`
 	// Levels counts floorplanned recursion levels (HiDaP runs).
 	Levels int `json:"levels,omitempty"`

@@ -11,7 +11,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/circuits"
@@ -51,36 +50,19 @@ type Options struct {
 	// Lambdas are the HiDaP blend values to try (paper: 0.2, 0.5, 0.8;
 	// the best post-placement wirelength wins).
 	Lambdas []float64
-	// Restarts runs HiDaP with this many seeds per λ, keeping the best
-	// wirelength (default 1). A cheap robustness extension beyond the
-	// paper's best-of-three-λ policy.
-	Restarts int
 	// LevelRestarts runs this many independent annealing chains per
 	// floorplanning level inside each HiDaP placement, keeping the best
-	// (core.Options.Restarts). Orthogonal to Restarts, which restarts whole
-	// placements.
+	// (core.Options.Restarts).
 	LevelRestarts int
-	// SelectBy chooses among HiDaP candidates: "wl" (paper default) keeps
-	// the best wirelength; "timing" keeps the best WNS, breaking ties by
-	// wirelength — the timing-driven selection the paper's conclusions
-	// motivate.
-	SelectBy string
 	// Parallelism sizes the one work-stealing scheduler the whole HiDaP
-	// solve DAG drains through: candidates (λ × restarts), sibling
-	// hierarchy subtrees inside each placement, and per-level restart
-	// chains are all tasks of the same pool, so the machine stays busy
-	// without any layer multiplying goroutines into another. 1 runs
-	// everything on the calling goroutine; <= 0 means
-	// runtime.GOMAXPROCS(0). Results never depend on it: tasks are
-	// indexed, seeded by stable task paths, and reduced in index order.
+	// solve DAG drains through: λ candidates, sibling hierarchy subtrees
+	// inside each placement, and per-level restart chains are all tasks of
+	// the same pool, so the machine stays busy without any layer
+	// multiplying goroutines into another. 1 runs everything on the
+	// calling goroutine; <= 0 means runtime.GOMAXPROCS(0). Results never
+	// depend on it: tasks are indexed, seeded by stable task paths, and
+	// reduced in index order.
 	Parallelism int
-	// Progress, when set, receives one core.StageCandidate event per
-	// evaluated HiDaP candidate, so callers can stream status for long
-	// suite runs. Events are delivered in candidate-index order (a
-	// completed candidate's event is held until its predecessors have
-	// reported), so the stream is identical at any Parallelism; they may
-	// arrive from worker goroutines.
-	Progress core.ProgressFunc
 	// Pool, when set, shares annealing scratch (incremental slicing
 	// evaluators) across candidates and runs; a serving engine passes its
 	// per-engine pool here so back-to-back jobs run allocation-warm.
@@ -123,61 +105,66 @@ type Metrics struct {
 	WLnorm float64 `json:"wl_norm,omitempty"`
 }
 
-// Run executes one flow on a generated circuit and measures it. A cancelled
-// ctx aborts macro placement, candidate evaluation and cell placement
-// promptly and returns ctx.Err().
+// Run executes one flow on a generated circuit and measures it. The row's
+// MacroSeconds times macro placement only: the placer call for IndEDA and
+// handFP, the summed durations of the λ candidates' core.Place calls for
+// HiDaP (more than the wall time when candidates overlap). A cancelled ctx
+// aborts macro placement, candidate evaluation and cell placement promptly
+// and returns ctx.Err().
 func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*Metrics, *placement.Placement, error) {
 	d := g.Design
 	if len(opt.Lambdas) == 0 {
 		opt.Lambdas = []float64{0.2, 0.5, 0.8}
 	}
 
-	start := time.Now()
-	var pl *placement.Placement
-	var bestLambda float64
+	var run macroRun
 	var err error
 	switch flow {
-	case FlowIndEDA:
-		pl, err = indeda.Place(ctx, d, indeda.Options{Seed: opt.Seed, HighEffort: true, WallWeight: 0.4})
+	case FlowIndEDA, FlowHandFP:
+		start := time.Now()
+		if flow == FlowIndEDA {
+			run.pl, err = indeda.Place(ctx, d, indeda.Options{Seed: opt.Seed, HighEffort: true, WallWeight: 0.4})
+		} else {
+			run.pl, err = handfp.Place(ctx, d, g.Intent, handfp.Options{Seed: opt.Seed})
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := cellPlace(ctx, pl, opt); err != nil {
-			return nil, nil, err
-		}
-	case FlowHandFP:
-		pl, err = handfp.Place(ctx, d, g.Intent, handfp.Options{Seed: opt.Seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cellPlace(ctx, pl, opt); err != nil {
+		run.seconds = time.Since(start).Seconds()
+		if err := cellPlace(ctx, run.pl, opt); err != nil {
 			return nil, nil, err
 		}
 	case FlowHiDaP:
-		pl, bestLambda, err = runHiDaP(ctx, g, opt)
+		run, err = runHiDaP(ctx, g, opt)
 		if err != nil {
 			return nil, nil, err
 		}
 	default:
 		return nil, nil, fmt.Errorf("flows: unknown flow %q", flow)
 	}
-	elapsed := time.Since(start).Seconds()
 
-	m, err := measure(ctx, g, flow, pl, opt)
+	m, err := measure(ctx, g, flow, run.pl, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	m.MacroSeconds = elapsed
-	m.Lambda = bestLambda
-	return m, pl, nil
+	m.MacroSeconds = run.seconds
+	m.Lambda = run.lambda
+	return m, run.pl, nil
 }
 
-// runHiDaP evaluates every (restart, λ) candidate on one shared
-// work-stealing pool — candidates, hierarchy subtrees and restart chains
-// are all tasks of the same scheduler — and selects the winner. Selection
+// macroRun is the macro-placement outcome of one flow run.
+type macroRun struct {
+	pl      *placement.Placement
+	lambda  float64 // the winning λ (HiDaP only)
+	seconds float64 // macro placement time, std-cell placement excluded
+}
+
+// runHiDaP evaluates every λ candidate on one shared work-stealing pool —
+// candidates, hierarchy subtrees and restart chains are all tasks of the
+// same scheduler — and keeps the best post-placement wirelength. Selection
 // scans candidates in a fixed order, so the result is identical at any
-// Parallelism.
-func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placement.Placement, float64, error) {
+// Parallelism. The returned seconds sum the candidates' core.Place calls.
+func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (macroRun, error) {
 	d := g.Design
 	if opt.Autocluster != nil {
 		// Swap in the synthesized hierarchy before placement. Cells and nets
@@ -185,26 +172,18 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		// pipeline (which reads g.Design) stay valid.
 		res, _, err := g.Autocluster(*opt.Autocluster)
 		if err != nil {
-			return nil, 0, err
+			return macroRun{}, err
 		}
 		d = res.Design
 	}
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	type candidate struct {
-		lambda float64
-		pl     *placement.Placement
-		wl     float64
-		wns    float64
-		err    error
+		macroRun
+		wl  float64
+		err error
 	}
-	cands := make([]candidate, 0, restarts*len(opt.Lambdas))
-	for r := 0; r < restarts; r++ {
-		for _, lambda := range opt.Lambdas {
-			cands = append(cands, candidate{lambda: lambda})
-		}
+	cands := make([]candidate, len(opt.Lambdas))
+	for i, lambda := range opt.Lambdas {
+		cands[i].lambda = lambda
 	}
 	// One pool for the whole run: candidate tasks fork subtree and chain
 	// tasks onto the same lanes, so an idle lane always finds work in some
@@ -212,42 +191,14 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 	pool := sched.NewPool(opt.Parallelism)
 	defer pool.Close()
 
-	// Candidate progress events are emitted in index order behind a
-	// watermark: a finished candidate marks itself done, and the lowest
-	// unreported prefix of done candidates reports. Streaming survives,
-	// and the event order is a pure function of the candidate set.
-	var emitMu sync.Mutex
-	emitted := make([]int8, len(cands)) // 0 pending, 1 done+event, -1 done silently (error)
-	next := 0
-	reportDone := func(i int, ok bool) {
-		if opt.Progress == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if ok {
-			emitted[i] = 1
-		} else {
-			emitted[i] = -1
-		}
-		for next < len(cands) && emitted[next] != 0 {
-			if emitted[next] > 0 {
-				opt.Progress(core.Progress{
-					Stage: core.StageCandidate, Candidate: next + 1, Candidates: len(cands), Lambda: cands[next].lambda,
-				})
-			}
-			next++
-		}
-	}
 	evalOne := func(ctx context.Context, i int) {
 		c := &cands[i]
-		defer func() { reportDone(i, c.err == nil) }()
 		if c.err = ctx.Err(); c.err != nil {
 			return
 		}
 		coreOpt := core.DefaultOptions()
 		coreOpt.Lambda = c.lambda
-		coreOpt.Seed = opt.Seed + int64(i/len(opt.Lambdas))*1_000_003
+		coreOpt.Seed = opt.Seed
 		coreOpt.Effort = opt.Effort
 		coreOpt.Restarts = opt.LevelRestarts
 		coreOpt.Sched = pool
@@ -256,20 +207,19 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		// shared scratch pool instead of rebuilding per candidate.
 		coreOpt.SeqGraph = g.SeqGraph()
 		coreOpt.Pool = opt.Pool
+		start := time.Now()
 		res, err := core.Place(ctx, d, coreOpt)
 		if err != nil {
 			c.err = err
 			return
 		}
+		c.seconds = time.Since(start).Seconds()
 		c.pl = res.Placement
 		if err := cellPlace(ctx, c.pl, opt); err != nil {
 			c.err = err
 			return
 		}
 		c.wl = metrics.WirelengthMeters(c.pl)
-		if opt.SelectBy == "timing" {
-			c.wns = sta.Analyze(g.SeqGraph(), c.pl, eval.CalibrateSTA(d, opt.STA)).WNSPct
-		}
 	}
 	grp := pool.Group(ctx)
 	for i := range cands {
@@ -277,24 +227,20 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		grp.Go(func(ctx context.Context) { evalOne(ctx, i) })
 	}
 	grp.Wait() // a cancelled ctx drains; per-candidate errors are scanned below
-	best := -1
+	best := 0
+	var seconds float64
 	for i := range cands {
 		if cands[i].err != nil {
-			return nil, 0, cands[i].err
+			return macroRun{}, cands[i].err
 		}
-		switch {
-		case best < 0:
-			best = i
-		case opt.SelectBy == "timing":
-			if cands[i].wns > cands[best].wns ||
-				(cands[i].wns == cands[best].wns && cands[i].wl < cands[best].wl) {
-				best = i
-			}
-		case cands[i].wl < cands[best].wl:
+		if cands[i].wl < cands[best].wl {
 			best = i
 		}
+		seconds += cands[i].seconds
 	}
-	return cands[best].pl, cands[best].lambda, nil
+	run := cands[best].macroRun
+	run.seconds = seconds
+	return run, nil
 }
 
 func cellPlace(ctx context.Context, pl *placement.Placement, opt Options) error {
@@ -344,7 +290,9 @@ type Summary struct {
 	WLGeoMean float64 `json:"wl_geomean"`
 	// WNSMean is the arithmetic mean of WNS% over the suite.
 	WNSMean float64 `json:"wns_mean_pct"`
-	// Effort describes the solution cost (paper wording plus measured CPU).
+	// Effort describes the solution cost: the paper's wording plus the
+	// summed MacroSeconds of the flow's rows (macro placement only; for
+	// HiDaP, the sum over its λ candidates' core.Place calls).
 	Effort string `json:"effort"`
 }
 
@@ -382,7 +330,7 @@ func Summarize(rows []*Metrics) []Summary {
 			Flow:      f,
 			WLGeoMean: metrics.GeoMean(norms),
 			WNSMean:   wnsSum / float64(n),
-			Effort:    fmt.Sprintf("%.1fs CPU here; %s", secs, effortNote[f]),
+			Effort:    fmt.Sprintf("%.1fs macro placement here; %s", secs, effortNote[f]),
 		})
 	}
 	return out
