@@ -561,14 +561,31 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 // and each block's target area is its own area plus the adopted glue.
 func (st *flowState) targetAreas(decl *hier.Result) []int64 {
 	d := st.d
-	var seeds, seedLabels []int32
+	nSeeds := 0
+	for i := range decl.Blocks {
+		nSeeds += len(decl.Blocks[i].Cells)
+	}
+	seeds := make([]int32, 0, nSeeds)
+	seedLabels := make([]int32, 0, nSeeds)
 	for i := range decl.Blocks {
 		for _, cid := range decl.Blocks[i].Cells {
 			seeds = append(seeds, int32(cid))
 			seedLabels = append(seedLabels, int32(i))
 		}
 	}
-	labels, _ := st.bp.MultiSourceLabel(seeds, seedLabels)
+	nGlue := 0
+	for _, m := range decl.CellBlock {
+		if m == hier.Glue {
+			nGlue++
+		}
+	}
+	glue := make([]int32, 0, nGlue)
+	for ci, m := range decl.CellBlock {
+		if m == hier.Glue {
+			glue = append(glue, int32(ci))
+		}
+	}
+	labels := st.bp.MultiSourceLabel(make([]int32, 0, len(glue)), seeds, seedLabels, glue)
 
 	at := make([]int64, len(decl.Blocks))
 	var blockArea int64
@@ -577,12 +594,9 @@ func (st *flowState) targetAreas(decl *hier.Result) []int64 {
 		blockArea += decl.Blocks[i].Area
 	}
 	var orphan int64
-	for ci, m := range decl.CellBlock {
-		if m != hier.Glue {
-			continue
-		}
+	for gi, ci := range glue {
 		area := d.Cell(netlist.CellID(ci)).Area()
-		if l := labels[ci]; l >= 0 {
+		if l := labels[gi]; l >= 0 {
 			at[l] += area
 		} else {
 			orphan += area

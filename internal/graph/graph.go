@@ -8,7 +8,11 @@
 // bipartite form keeps every traversal linear in the number of pins.
 package graph
 
-import "repro/internal/netlist"
+import (
+	"sync"
+
+	"repro/internal/netlist"
+)
 
 // CSR is a compressed adjacency: the neighbors of vertex v are
 // Targets[Offsets[v]:Offsets[v+1]].
@@ -137,48 +141,113 @@ func BipartiteFromDesign(d *netlist.Design) *Bipartite {
 	}
 }
 
-// Unlabeled marks vertices not reached by MultiSourceLabel.
+// Unlabeled marks cells not reached by MultiSourceLabel.
 const Unlabeled int32 = -1
 
-// MultiSourceLabel runs a multi-source BFS over cells (stepping cell → net
-// → cell) from the given seed cells. Every reachable cell receives the
-// label of its nearest seed; ties resolve to the seed dequeued first, which
-// is deterministic given the seed order. It returns the per-cell labels and
-// BFS distances (in cell hops; Unlabeled / -1 where unreached).
-func (bp *Bipartite) MultiSourceLabel(seeds []int32, seedLabels []int32) (labels, dist []int32) {
-	nCells := bp.CellNets.NumVertices()
-	labels = make([]int32, nCells)
-	dist = make([]int32, nCells)
-	for i := range labels {
-		labels[i] = Unlabeled
-		dist[i] = -1
+// pending marks a target cell the BFS has not reached yet; it lives only
+// inside one MultiSourceLabel call.
+const pending int32 = -2
+
+// bfsScratch is the per-call state of MultiSourceLabel, pooled so a BFS per
+// floorplanning level allocates no full-design arrays. Outside a call every
+// label is Unlabeled and every net unseen; a call resets only the entries
+// it touched.
+type bfsScratch struct {
+	labels  []int32 // per cell
+	netSeen []bool  // per net
+	queue   []int32 // cells labeled so far, in BFS order
+	nets    []int32 // nets marked seen
+}
+
+var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
+// fit sizes the scratch for a graph with nCells cells and nNets nets.
+func (s *bfsScratch) fit(nCells, nNets int) {
+	if len(s.labels) != nCells {
+		s.labels = make([]int32, nCells) //hidapvet:allow allocfree one-time warm-up per graph size; steady state pinned by TestMultiSourceLabelAllocs
+		for i := range s.labels {
+			s.labels[i] = Unlabeled
+		}
 	}
-	netSeen := make([]bool, bp.NetCells.NumVertices())
-	queue := make([]int32, 0, len(seeds))
-	for i, s := range seeds {
-		if labels[s] != Unlabeled {
+	if len(s.netSeen) != nNets {
+		s.netSeen = make([]bool, nNets) //hidapvet:allow allocfree one-time warm-up per graph size; steady state pinned by TestMultiSourceLabelAllocs
+	}
+}
+
+// MultiSourceLabel runs a multi-source BFS over cells (stepping cell → net
+// → cell) from the given seed cells and appends to dst the label of every
+// target cell, in target order: the label of its nearest seed, with ties
+// resolved to the seed dequeued first (deterministic given the seed
+// order), or Unlabeled when no seed reaches it. Seed labels must be
+// non-negative; a repeated seed keeps its first label.
+//
+// A cell's label is final the moment the BFS reaches it, so the search
+// stops as soon as every target is labeled; only when some target is
+// unreachable does it run to exhaustion.
+func (bp *Bipartite) MultiSourceLabel(dst, seeds, seedLabels, targets []int32) []int32 {
+	s := bfsPool.Get().(*bfsScratch)
+	defer bfsPool.Put(s)
+	return s.label(bp, dst, seeds, seedLabels, targets)
+}
+
+// label is MultiSourceLabel on an explicit scratch.
+//
+//hidapvet:hotpath
+func (s *bfsScratch) label(bp *Bipartite, dst, seeds, seedLabels, targets []int32) []int32 {
+	s.fit(bp.CellNets.NumVertices(), bp.NetCells.NumVertices())
+	labels, netSeen := s.labels, s.netSeen
+	queue, nets := s.queue[:0], s.nets[:0]
+
+	remaining := 0
+	for _, t := range targets {
+		if labels[t] == Unlabeled {
+			labels[t] = pending
+			remaining++
+		}
+	}
+	for i, c := range seeds {
+		if labels[c] >= 0 {
 			continue
 		}
-		labels[s] = seedLabels[i]
-		dist[s] = 0
-		queue = append(queue, s)
+		if labels[c] == pending {
+			remaining--
+		}
+		labels[c] = seedLabels[i]
+		queue = append(queue, c)
 	}
-	for head := 0; head < len(queue); head++ {
+	for head := 0; head < len(queue) && remaining > 0; head++ {
 		v := queue[head]
 		for _, nid := range bp.CellNets.Row(v) {
 			if netSeen[nid] {
 				continue
 			}
 			netSeen[nid] = true
+			nets = append(nets, nid)
 			for _, c := range bp.NetCells.Row(nid) {
-				if labels[c] != Unlabeled {
+				if labels[c] >= 0 {
 					continue
 				}
+				if labels[c] == pending {
+					remaining--
+				}
 				labels[c] = labels[v]
-				dist[c] = dist[v] + 1
 				queue = append(queue, c)
 			}
 		}
 	}
-	return labels, dist
+
+	for _, t := range targets {
+		dst = append(dst, max(labels[t], Unlabeled)) // pending reads as Unlabeled
+	}
+	for _, c := range queue {
+		labels[c] = Unlabeled
+	}
+	for _, t := range targets {
+		labels[t] = Unlabeled
+	}
+	for _, nid := range nets {
+		netSeen[nid] = false
+	}
+	s.queue, s.nets = queue, nets
+	return dst
 }

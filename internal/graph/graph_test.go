@@ -71,31 +71,41 @@ func TestBipartiteIncidence(t *testing.T) {
 	}
 }
 
+// allCells lists every cell of d, as MultiSourceLabel targets.
+func allCells(d *netlist.Design) []int32 {
+	out := make([]int32, len(d.Cells))
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}
+
 func TestMultiSourceLabel(t *testing.T) {
 	d, ids := chainDesign(t)
 	bp := BipartiteFromDesign(d)
 	// Seeds: p (label 10) and c (label 20).
-	labels, dist := bp.MultiSourceLabel(
+	labels := bp.MultiSourceLabel(nil,
 		[]int32{int32(ids["p"]), int32(ids["c"])},
 		[]int32{10, 20},
+		allCells(d),
 	)
-	if labels[ids["p"]] != 10 || dist[ids["p"]] != 0 {
-		t.Errorf("seed p: label=%d dist=%d", labels[ids["p"]], dist[ids["p"]])
+	if labels[ids["p"]] != 10 {
+		t.Errorf("seed p: label=%d", labels[ids["p"]])
 	}
-	if labels[ids["c"]] != 20 || dist[ids["c"]] != 0 {
-		t.Errorf("seed c: label=%d dist=%d", labels[ids["c"]], dist[ids["c"]])
+	if labels[ids["c"]] != 20 {
+		t.Errorf("seed c: label=%d", labels[ids["c"]])
 	}
 	// a is 1 hop from p, 2 hops from c -> label 10.
-	if labels[ids["a"]] != 10 || dist[ids["a"]] != 1 {
-		t.Errorf("a: label=%d dist=%d, want 10/1", labels[ids["a"]], dist[ids["a"]])
+	if labels[ids["a"]] != 10 {
+		t.Errorf("a: label=%d, want 10", labels[ids["a"]])
 	}
 	// b is 2 hops from p and 1 hop from c -> label 20.
-	if labels[ids["b"]] != 20 || dist[ids["b"]] != 1 {
-		t.Errorf("b: label=%d dist=%d, want 20/1", labels[ids["b"]], dist[ids["b"]])
+	if labels[ids["b"]] != 20 {
+		t.Errorf("b: label=%d, want 20", labels[ids["b"]])
 	}
 	// s* hang off b's fanout net -> 2 hops from c.
-	if labels[ids["s3"]] != 20 || dist[ids["s3"]] != 2 {
-		t.Errorf("s3: label=%d dist=%d, want 20/2", labels[ids["s3"]], dist[ids["s3"]])
+	if labels[ids["s3"]] != 20 {
+		t.Errorf("s3: label=%d, want 20", labels[ids["s3"]])
 	}
 }
 
@@ -107,21 +117,25 @@ func TestMultiSourceLabelUnreachable(t *testing.T) {
 	_ = c          // isolated cell
 	d := b.MustBuild()
 	bp := BipartiteFromDesign(d)
-	labels, dist := bp.MultiSourceLabel([]int32{int32(a)}, []int32{1})
-	if labels[c] != Unlabeled || dist[c] != -1 {
-		t.Errorf("isolated cell labeled: %d/%d", labels[c], dist[c])
+	labels := bp.MultiSourceLabel(nil, []int32{int32(a)}, []int32{1}, []int32{int32(c), int32(a)})
+	if labels[0] != Unlabeled {
+		t.Errorf("isolated cell labeled: %d", labels[0])
+	}
+	if labels[1] != 1 {
+		t.Errorf("seed target: label=%d, want 1", labels[1])
 	}
 }
 
 func TestMultiSourceDuplicateSeeds(t *testing.T) {
 	d, ids := chainDesign(t)
 	bp := BipartiteFromDesign(d)
-	labels, _ := bp.MultiSourceLabel(
+	labels := bp.MultiSourceLabel(nil,
 		[]int32{int32(ids["a"]), int32(ids["a"])},
 		[]int32{5, 7},
+		[]int32{int32(ids["a"])},
 	)
-	if labels[ids["a"]] != 5 {
-		t.Errorf("duplicate seed should keep first label, got %d", labels[ids["a"]])
+	if labels[0] != 5 {
+		t.Errorf("duplicate seed should keep first label, got %d", labels[0])
 	}
 }
 
@@ -140,10 +154,10 @@ func TestCSRRowBounds(t *testing.T) {
 func TestDeterministicTraversal(t *testing.T) {
 	d, ids := chainDesign(t)
 	bp := BipartiteFromDesign(d)
-	l1, d1 := bp.MultiSourceLabel([]int32{int32(ids["p"])}, []int32{1})
-	l2, d2 := bp.MultiSourceLabel([]int32{int32(ids["p"])}, []int32{1})
+	l1 := bp.MultiSourceLabel(nil, []int32{int32(ids["p"])}, []int32{1}, allCells(d))
+	l2 := bp.MultiSourceLabel(nil, []int32{int32(ids["p"])}, []int32{1}, allCells(d))
 	for i := range l1 {
-		if l1[i] != l2[i] || d1[i] != d2[i] {
+		if l1[i] != l2[i] {
 			t.Fatal("BFS not deterministic")
 		}
 	}

@@ -10,9 +10,10 @@
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -81,7 +82,7 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 	if opt.TargetUtil <= 0 {
 		opt.TargetUtil = deriveTargetUtil(d, pl)
 	}
-	grid := newGrid(d, pl, opt)
+	grid := newGrid(d, pl, movable, opt)
 	for iter := 0; iter < opt.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -90,7 +91,7 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		// the next quadratic solve (a light-weight stand-in for the anchor
 		// pseudo-nets of production placers).
 		keep := float64(iter) / float64(opt.Iterations+1)
-		solve(pl, movable, opt.SolveSweeps, keep)
+		grid.solve(pl, movable, opt.SolveSweeps, keep)
 		grid.spread(pl, movable)
 	}
 	// Final cleanups: keep cells inside the die and off macros.
@@ -129,15 +130,13 @@ func deriveTargetUtil(d *netlist.Design, pl *placement.Placement) float64 {
 // per-net centroids, then moves every movable cell toward the mean of its
 // nets' centroids, retaining a `keep` fraction of its current position.
 // Fixed cells (macros, ports) keep the system anchored.
-func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep float64) {
+func (g *grid) solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep float64) {
 	d := pl.D
-	cx := make([]int64, len(d.Nets))
-	cy := make([]int64, len(d.Nets))
-	cn := make([]int64, len(d.Nets))
+	cx, cy, cn := g.cx, g.cy, g.cn
 	for s := 0; s < sweeps; s++ {
-		for i := range d.Nets {
-			cx[i], cy[i], cn[i] = 0, 0, 0
-		}
+		clear(cx)
+		clear(cy)
+		clear(cn)
 		for i := range d.Pins {
 			pin := &d.Pins[i]
 			if !pl.Placed[pin.Cell] {
@@ -173,30 +172,76 @@ func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep f
 }
 
 // grid is the spreading structure: bin loads and capacities with macro
-// blockage subtracted.
+// blockage subtracted, plus the scratch solve and spread reuse across
+// rounds (allocated once per Run).
 type grid struct {
 	die        geom.Rect
 	nx, ny     int
 	binW, binH int64
 	cap        []float64 // usable area per bin × target utilization
 	load       []float64
+
+	// spread: the movable cells bucketed by bin, in movable order — bin
+	// b's cells are binCells[binStart[b]:binStart[b+1]] — plus each
+	// cell's bin and the sort keys of one overfull bin.
+	binStart []int32
+	binCells []netlist.CellID
+	cellBin  []int32
+	keys     []cellKey
+	// solve: per-net centroid sums and pin counts.
+	cx, cy, cn []int64
 }
 
-func newGrid(d *netlist.Design, pl *placement.Placement, opt Options) *grid {
+// cellKey orders a bin's cells for relief: farthest from the bin center
+// first, ties by cell ID. Distinct IDs make it a total order.
+type cellKey struct {
+	dist int64
+	id   netlist.CellID
+}
+
+func compareCellKeys(a, b cellKey) int {
+	if a.dist != b.dist {
+		return cmp.Compare(b.dist, a.dist)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+func newGrid(d *netlist.Design, pl *placement.Placement, movable []netlist.CellID, opt Options) *grid {
 	g := &grid{die: d.Die, nx: opt.GridBins, ny: opt.GridBins}
 	g.binW = (d.Die.W + int64(g.nx) - 1) / int64(g.nx)
 	g.binH = (d.Die.H + int64(g.ny) - 1) / int64(g.ny)
-	g.cap = make([]float64, g.nx*g.ny)
-	g.load = make([]float64, g.nx*g.ny)
+	n := g.nx * g.ny
+	g.cap = make([]float64, n)
+	g.load = make([]float64, n)
+	g.binStart = make([]int32, n+1)
+	g.binCells = make([]netlist.CellID, len(movable))
+	g.cellBin = make([]int32, len(movable))
+	g.cx = make([]int64, len(d.Nets))
+	g.cy = make([]int64, len(d.Nets))
+	g.cn = make([]int64, len(d.Nets))
+
+	// Usable area per bin: the bin's in-die area minus every macro's
+	// overlap. A macro can only overlap the bins between the ones holding
+	// its corners (binOf clamps, so macros partly outside the die are
+	// covered too); the integer sums are order-free.
+	usable := make([]int64, n)
 	for by := 0; by < g.ny; by++ {
 		for bx := 0; bx < g.nx; bx++ {
-			r := g.binRect(bx, by)
-			usable := r.Area()
-			for _, m := range d.Macros() {
-				usable -= r.Intersect(pl.Rect(m)).Area()
-			}
-			g.cap[by*g.nx+bx] = float64(usable) * opt.TargetUtil
+			usable[by*g.nx+bx] = g.binRect(bx, by).Area()
 		}
+	}
+	for _, m := range d.Macros() {
+		mr := pl.Rect(m)
+		x0, y0 := g.binOf(geom.Pt(mr.X, mr.Y))
+		x1, y1 := g.binOf(geom.Pt(mr.X2()-1, mr.Y2()-1))
+		for by := y0; by <= y1; by++ {
+			for bx := x0; bx <= x1; bx++ {
+				usable[by*g.nx+bx] -= g.binRect(bx, by).Intersect(mr).Area()
+			}
+		}
+	}
+	for i, u := range usable {
+		g.cap[i] = float64(u) * opt.TargetUtil
 	}
 	return g
 }
@@ -230,18 +275,29 @@ func (g *grid) binOf(p geom.Point) (int, int) {
 func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID) {
 	d := pl.D
 	const rounds = 3
-	binCells := make([][]netlist.CellID, len(g.cap))
+	start := g.binStart
 	for r := 0; r < rounds; r++ {
-		for i := range g.load {
-			g.load[i] = 0
-			binCells[i] = binCells[i][:0]
-		}
-		for _, id := range movable {
+		clear(g.load)
+		clear(start)
+		for k, id := range movable {
 			bx, by := g.binOf(pl.Center(id))
 			bi := by*g.nx + bx
 			g.load[bi] += float64(d.Cell(id).Area())
-			binCells[bi] = append(binCells[bi], id)
+			g.cellBin[k] = int32(bi)
+			start[bi+1]++
 		}
+		// Counting sort into binCells: after the fill, start[b] has
+		// advanced to bin b's end, so shifting by one restores the starts.
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for k, id := range movable {
+			bi := g.cellBin[k]
+			g.binCells[start[bi]] = id
+			start[bi]++
+		}
+		copy(start[1:], start[:len(start)-1])
+		start[0] = 0
 		moved := false
 		for by := 0; by < g.ny; by++ {
 			for bx := 0; bx < g.nx; bx++ {
@@ -249,24 +305,28 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID) {
 				if g.load[bi] <= g.cap[bi] {
 					continue
 				}
-				cells := binCells[bi]
 				c := g.binRect(bx, by).Center()
-				sort.Slice(cells, func(a, b int) bool {
-					da := pl.Center(cells[a]).ManhattanDist(c)
-					db := pl.Center(cells[b]).ManhattanDist(c)
-					if da != db {
-						return da > db
-					}
-					return cells[a] < cells[b]
-				})
-				for _, id := range cells {
+				keys := g.keys[:0]
+				for _, id := range g.binCells[start[bi]:start[bi+1]] {
+					keys = append(keys, cellKey{pl.Center(id).ManhattanDist(c), id})
+				}
+				slices.SortFunc(keys, compareCellKeys)
+				g.keys = keys
+				// Relieving this bin only unloads it and loads others, so
+				// no ring inside the last hit can regain spare room: each
+				// search resumes at the radius where the previous one
+				// stopped.
+				radius := 1
+				for _, k := range keys {
 					if g.load[bi] <= g.cap[bi] {
 						break
 					}
-					tx, ty, ok := g.bestNeighbor(bx, by)
+					tx, ty, hit, ok := g.bestNeighbor(bx, by, radius)
 					if !ok {
 						break
 					}
+					radius = hit
+					id := k.id
 					ti := ty*g.nx + tx
 					target := g.binRect(tx, ty).Center()
 					area := float64(d.Cell(id).Area())
@@ -284,39 +344,52 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID) {
 }
 
 // bestNeighbor finds the nearest bin with spare capacity, scanning rings of
-// growing Chebyshev radius (macro blockages can zero out whole
+// growing Chebyshev radius from r0 (macro blockages can zero out whole
 // neighborhoods, so adjacent-only relief deadlocks next to big macros).
-func (g *grid) bestNeighbor(bx, by int) (int, int, bool) {
+// Within the first ring that has spare room it returns the first bin of
+// strictly greatest spare in visit order, plus that ring's radius.
+func (g *grid) bestNeighbor(bx, by, r0 int) (tx, ty, r int, ok bool) {
 	maxR := g.nx
 	if g.ny > maxR {
 		maxR = g.ny
 	}
-	for r := 1; r <= maxR; r++ {
+	for r = r0; r <= maxR; r++ {
 		bestSpare := 0.0
 		bestX, bestY := -1, -1
-		visit := func(nx, ny int) {
-			if nx < 0 || nx >= g.nx || ny < 0 || ny >= g.ny {
-				return
-			}
-			ni := ny*g.nx + nx
-			if spare := g.cap[ni] - g.load[ni]; spare > bestSpare {
+		visit := func(x, y int) {
+			i := y*g.nx + x
+			if spare := g.cap[i] - g.load[i]; spare > bestSpare {
 				bestSpare = spare
-				bestX, bestY = nx, ny
+				bestX, bestY = x, y
 			}
 		}
-		for dx := -r; dx <= r; dx++ {
-			visit(bx+dx, by-r)
-			visit(bx+dx, by+r)
+		// Top and bottom rows, interleaved per column, then the left and
+		// right columns, interleaved per row; off-grid bins are skipped.
+		lo, hi := max(bx-r, 0), min(bx+r, g.nx-1)
+		bot, top := by-r >= 0, by+r < g.ny
+		for x := lo; x <= hi; x++ {
+			if bot {
+				visit(x, by-r)
+			}
+			if top {
+				visit(x, by+r)
+			}
 		}
-		for dy := -r + 1; dy <= r-1; dy++ {
-			visit(bx-r, by+dy)
-			visit(bx+r, by+dy)
+		lo, hi = max(by-r+1, 0), min(by+r-1, g.ny-1)
+		left, right := bx-r >= 0, bx+r < g.nx
+		for y := lo; y <= hi; y++ {
+			if left {
+				visit(bx-r, y)
+			}
+			if right {
+				visit(bx+r, y)
+			}
 		}
 		if bestX >= 0 {
-			return bestX, bestY, true
+			return bestX, bestY, r, true
 		}
 	}
-	return -1, -1, false
+	return -1, -1, r, false
 }
 
 // evictFromMacros pushes any cell sitting on a macro to the nearest macro
@@ -334,7 +407,7 @@ func (g *grid) evictFromMacros(pl *placement.Placement, movable []netlist.CellID
 				continue
 			}
 			// Push to the nearest macro edge that stays inside the die.
-			cands := []geom.Point{
+			cands := [4]geom.Point{
 				{X: mr.X - 1, Y: c.Y},
 				{X: mr.X2() + 1, Y: c.Y},
 				{X: c.X, Y: mr.Y - 1},
@@ -366,18 +439,4 @@ func clampAll(pl *placement.Placement, movable []netlist.CellID) {
 		r := pl.Rect(id).ClampInside(pl.D.Die)
 		pl.Place(id, geom.Pt(r.X, r.Y))
 	}
-}
-
-func min4(a, b, c, d int64) int64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	if d < m {
-		m = d
-	}
-	return m
 }
