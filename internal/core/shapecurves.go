@@ -122,16 +122,15 @@ func composeParts(ctx context.Context, parts []shape.Curve, seed int64, pool *sl
 		inc = slicing.NewEvaluator(&expr, blocks, slicing.EvalParams{CompactPoints: composeCompact})
 	}
 	acc := shape.Curve{}
-	var us shape.Scratch
 	var ubuf []shape.Point
 	cost := func() float64 {
 		c := inc.RootCurve()
-		// The scratch form copies the corners into ubuf (so accumulating
-		// the evaluator-owned curve stays safe across later moves) and
-		// reuses the buffer every step instead of allocating a fresh
-		// candidate slice per move; acc aliases ubuf between calls, which
-		// Scratch.Union's in-place prune tolerates.
-		acc, ubuf = us.Union(ubuf, acc, c)
+		// UnionInto copies the corners into ubuf (so accumulating the
+		// evaluator-owned curve stays safe across later moves) and reuses
+		// the buffer every step instead of allocating a fresh candidate
+		// slice per move; acc aliases ubuf between calls, which
+		// UnionInto's in-place prune tolerates.
+		acc, ubuf = shape.UnionInto(ubuf, acc, c)
 		return float64(c.MinArea())
 	}
 	anneal.Run(ctx,

@@ -136,7 +136,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 	if nb == 1 {
 		blocks := []slicing.Block{p.Blocks[0].Block}
 		e := slicing.NewBalanced(1)
-		ev := slicing.Evaluate(&e, blocks, p.Region, opt.Eval)
+		ev := slicing.NewEvaluator(&e, blocks, opt.Eval).Eval(p.Region)
 		return &Result{
 			Rects:   ev.Rects,
 			Expr:    e,
@@ -237,8 +237,8 @@ func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *p
 	anneal.RunModel(ctx, opt.Effort.schedule(seed), &m)
 
 	// Final evaluation of the winner reuses the incremental evaluator's
-	// arena (Reset + Eval is bit-identical to a from-scratch Evaluate, per
-	// the differential tests), so the tail of the solve is warm too. Rects
+	// buffers (Reset + Eval is bit-identical to a from-scratch evaluation,
+	// per the differential tests), so the tail of the solve is warm too. Rects
 	// are copied out because the evaluator owns its record.
 	inc.Reset(&s.best, s.blocks, opt.Eval)
 	ev := inc.Eval(p.Region)

@@ -35,6 +35,34 @@ func TestSolveSingleBlock(t *testing.T) {
 	}
 }
 
+// TestSolveSingleBlockMatchesOracle pins the single-block level, which
+// skips annealing, to the from-scratch slicing reference evaluator: the
+// want values below are what that oracle yields for the same block and
+// region, for a macro that fits and for one that cannot.
+func TestSolveSingleBlockMatchesOracle(t *testing.T) {
+	region := geom.RectXYWH(10, 20, 100, 100)
+	cases := []struct {
+		name    string
+		block   slicing.Block
+		penalty float64
+		legal   bool
+	}{
+		{"feasible", slicing.Block{Curve: shape.FromBoxRotatable(60, 40), MinArea: 2400, TargetArea: 6000}, 1, true},
+		// vAt 1/3, vAm 1/6, vMacro 1/2 under the default weights.
+		{"infeasible", slicing.Block{Curve: shape.FromBox(150, 40), MinArea: 12000, TargetArea: 15000}, 17.833333333333332, false},
+	}
+	for _, c := range cases {
+		p := &Problem{Region: region, Blocks: []BlockSpec{{Name: c.name, Block: c.block}}}
+		r := Solve(context.Background(), p, DefaultOptions())
+		if len(r.Rects) != 1 || r.Rects[0] != region {
+			t.Errorf("%s: Rects = %v, want [%v]", c.name, r.Rects, region)
+		}
+		if r.Penalty != c.penalty || r.Legal != c.legal {
+			t.Errorf("%s: Penalty, Legal = %v, %v; want %v, %v", c.name, r.Penalty, r.Legal, c.penalty, c.legal)
+		}
+	}
+}
+
 func TestSolveTerminalPull(t *testing.T) {
 	// Block 0 is bound to a west terminal, block 1 to an east terminal.
 	// After annealing, block 0 must sit west of block 1.
@@ -159,7 +187,7 @@ func TestSolveBeatsBadReference(t *testing.T) {
 		sl[i] = blocks[i].Block
 	}
 	e0 := slicing.NewBalanced(n)
-	ev0 := slicing.Evaluate(&e0, sl, p.Region, slicing.DefaultEvalParams())
+	ev0 := slicing.NewEvaluator(&e0, sl, slicing.DefaultEvalParams()).Eval(p.Region)
 	ref := wirecost(ev0, p, affinityPairs(p))
 
 	opt := DefaultOptions()

@@ -132,7 +132,39 @@ func ReadJSON(r io.Reader) (*Design, error) {
 		}
 		b.SetPortPos(CellID(pp[0]), geom.Pt(pp[1], pp[2]))
 	}
-	return b.Build()
+	d, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	if err := checkMacrosFitDie(d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// checkMacrosFitDie rejects designs whose macros cannot all be placed
+// inside the die: a macro that fits in neither orientation, or a total
+// macro area above the die area. It runs on the built design, so an
+// auto-sized die is checked too.
+func checkMacrosFitDie(d *Design) error {
+	var total int64
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		if c.Kind != KindMacro {
+			continue
+		}
+		fits := c.Width <= d.Die.W && c.Height <= d.Die.H
+		rotated := c.Height <= d.Die.W && c.Width <= d.Die.H
+		if !fits && !rotated {
+			return fmt.Errorf("netlist: json macro %s (%dx%d) fits the %dx%d die in neither orientation",
+				c.Name, c.Width, c.Height, d.Die.W, d.Die.H)
+		}
+		total += c.Area()
+	}
+	if die := d.Die.Area(); total > die {
+		return fmt.Errorf("netlist: json total macro area %d exceeds the %dx%d die area %d", total, d.Die.W, d.Die.H, die)
+	}
+	return nil
 }
 
 func parseKind(s string) (CellKind, error) {

@@ -93,6 +93,29 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
+// TestReadJSONMacrosFitDie: ReadJSON rejects macros that cannot all be
+// placed inside the die, and accepts a tight legal set, rotation included.
+func TestReadJSONMacrosFitDie(t *testing.T) {
+	cases := []struct {
+		name, cells, frag string // frag "" means the design is legal
+	}{
+		{"macro fits in neither orientation", `{"name":"m","kind":"macro","w":25,"h":5}`, "m (25x5) fits the 20x10 die in neither orientation"},
+		{"total macro area over die", `{"name":"a","kind":"macro","w":12,"h":10},{"name":"b","kind":"macro","w":12,"h":10}`, "total macro area 240 exceeds the 20x10 die area 200"},
+		// a fits only rotated.
+		{"legal", `{"name":"a","kind":"macro","w":5,"h":15},{"name":"b","kind":"macro","w":5,"h":10},{"name":"c","kind":"comb","w":1,"h":1}`, ""},
+	}
+	for _, c := range cases {
+		src := `{"name":"x","die":[0,0,20,10],"cells":[` + c.cells + `]}`
+		_, err := ReadJSON(strings.NewReader(src))
+		switch {
+		case c.frag == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.frag != "" && (err == nil || !strings.Contains(err.Error(), c.frag)):
+			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.frag)
+		}
+	}
+}
+
 // TestReadJSONZeroDieAutoSizes: an all-zero die is the documented request
 // for an auto-sized die, not a malformed one.
 func TestReadJSONZeroDieAutoSizes(t *testing.T) {

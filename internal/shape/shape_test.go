@@ -124,7 +124,7 @@ func TestMinWidthForHeight(t *testing.T) {
 }
 
 // TestTransposeDuality: MinWidthForHeight on the curve equals
-// MinHeightForWidth on the rotated curve.
+// MinHeightForWidth on the curve of the transposed corners.
 func TestTransposeDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
@@ -133,7 +133,11 @@ func TestTransposeDuality(t *testing.T) {
 			pts[i] = Point{int64(rng.Intn(50) + 1), int64(rng.Intn(50) + 1)}
 		}
 		c := FromPoints(pts)
-		r := c.Rotate()
+		tr := make([]Point, len(pts))
+		for i, p := range pts {
+			tr[i] = Point{p.H, p.W}
+		}
+		r := FromPoints(tr)
 		for q := int64(1); q <= 55; q++ {
 			w1, ok1 := c.MinWidthForHeight(q)
 			w2, ok2 := r.MinHeightForWidth(q)
@@ -268,13 +272,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestWithRotations(t *testing.T) {
-	c := FromBox(30, 10).WithRotations()
-	if !c.Fits(10, 30) {
-		t.Error("WithRotations should allow the transposed box")
-	}
-}
-
 func TestThinKeepsExtremes(t *testing.T) {
 	pts := make([]Point, 0, 500)
 	for i := int64(1); i <= 500; i++ {
@@ -328,7 +325,9 @@ func TestStringer(t *testing.T) {
 // CombineH/CombineV to the brute-force reference: prune the full cross
 // product of the operand corners. The two must agree corner for corner
 // across random canonical staircases, including single-point and
-// shared-height/width operands.
+// shared-height/width operands. The buffer-reusing CombineHInto/
+// CombineVInto must match the same reference (thinned to each budget
+// the evaluators use), with empty operands mixed in.
 func TestCombineMergeMatchesCrossProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	randCurve := func(maxPts int) Curve {
@@ -376,6 +375,10 @@ func TestCombineMergeMatchesCrossProduct(t *testing.T) {
 		}
 		return true
 	}
+	thin := func(pts []Point, k int) []Point {
+		return thinInPlace(append([]Point(nil), pts...), k)
+	}
+	var dst []Point
 	for iter := 0; iter < 2000; iter++ {
 		a, b := randCurve(20), randCurve(20)
 		if gh := CombineH(a, b); !equal(gh.pts, crossH(a, b)) {
@@ -383,6 +386,60 @@ func TestCombineMergeMatchesCrossProduct(t *testing.T) {
 		}
 		if gv := CombineV(a, b); !equal(gv.pts, crossV(a, b)) {
 			t.Fatalf("iter %d: CombineV merge %v != cross %v\na=%v\nb=%v", iter, gv.pts, crossV(a, b), a, b)
+		}
+
+		k := []int{2, 3, 12, 16, MaxPoints}[rng.Intn(5)]
+		wantH, wantV := crossH(a, b), crossV(a, b)
+		switch rng.Intn(10) {
+		case 0:
+			a, wantH, wantV = Curve{}, b.pts, b.pts
+		case 1:
+			b, wantH, wantV = Curve{}, a.pts, a.pts
+		}
+		var got Curve
+		if got, dst = CombineHInto(dst, a, b, k); !equal(got.pts, thin(wantH, k)) {
+			t.Fatalf("iter %d k=%d: CombineHInto %v != %v\na=%v\nb=%v", iter, k, got, thin(wantH, k), a, b)
+		}
+		if got, dst = CombineVInto(dst, a, b, k); !equal(got.pts, thin(wantV, k)) {
+			t.Fatalf("iter %d k=%d: CombineVInto %v != %v\na=%v\nb=%v", iter, k, got, thin(wantV, k), a, b)
+		}
+	}
+}
+
+// TestScratchThinUnionDifferential pins the buffer-reusing ThinInto and
+// UnionInto against their references (thinning a copy of the corners,
+// and the allocating Union) across random curves, every thin budget the
+// evaluators use, and empty operands, with one dst buffer reused
+// throughout.
+func TestScratchThinUnionDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	randCurve := func(maxPts int) Curve {
+		n := 1 + rng.Intn(maxPts)
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{int64(1 + rng.Intn(500)), int64(1 + rng.Intn(500))}
+		}
+		return FromPoints(pts)
+	}
+	var dst []Point
+	for iter := 0; iter < 500; iter++ {
+		a, b := randCurve(30), randCurve(30)
+		switch rng.Intn(10) {
+		case 0:
+			a = Curve{}
+		case 1:
+			b = Curve{}
+		}
+		var got Curve
+		got, dst = UnionInto(dst, a, b)
+		if want := Union(a, b); got.String() != want.String() {
+			t.Fatalf("iter %d: UnionInto %v != %v", iter, got, want)
+		}
+		k := []int{2, 3, 12, 16, MaxPoints}[rng.Intn(5)]
+		got, dst = ThinInto(dst, a, k)
+		want := Curve{pts: thinInPlace(append([]Point(nil), a.pts...), k)}
+		if got.String() != want.String() {
+			t.Fatalf("iter %d k=%d: ThinInto %v != %v", iter, k, got, want)
 		}
 	}
 }

@@ -7,26 +7,32 @@ import (
 	"repro/internal/shape"
 )
 
-// Evaluator is the incremental counterpart of Evaluate for annealing hot
-// loops. Construction thins every leaf curve once and composes the full
-// tree; each Perturb then re-parses the expression with cheap integer work,
-// diffs it against the cached tree and recomposes only the dirty nodes —
-// the moved positions and their ancestors, O(depth) curve compositions per
-// move instead of O(n). The top-down assign pass of Eval is incremental
+// Evaluator runs the paper's top-down area-budgeting layout generation on a
+// slicing expression: the budget rectangle is recursively partitioned
+// according to the target areas of each subtree; cuts that would make a
+// subtree's macros unplaceable shift area from the sibling, charging graded
+// penalties for the kind of area yielded. The layout always tiles the
+// budget exactly.
+//
+// It is incremental, for annealing hot loops. Construction thins every leaf
+// curve once and composes the full tree; each Perturb then re-parses the
+// expression with cheap integer work, diffs it against the cached tree and
+// recomposes only the dirty nodes — the moved positions and their
+// ancestors, O(depth) curve compositions per move instead of O(n). The top-down assign pass of Eval is incremental
 // too: every node caches the rectangle it was last assigned and its
 // subtree's violation sums, so a subtree whose inputs did not change since
 // the previous Eval is skipped wholesale instead of being re-descended.
-// All buffers (node arena, curve slabs, Rects, the parse stack and the
+// All buffers (node cache, curve slab, Rects, the parse stack and the
 // undo journal) are owned by the evaluator and reused, so the steady-state
 // Perturb/Eval cycle does not allocate. Curve corners live in one shared
-// structure-of-arrays shape.Arena — two int64 slabs holding every curve of
-// the tree — so recomposition sweeps contiguous memory instead of chasing a
-// heap slice per node.
+// []shape.Point slab holding every curve of the tree, so recomposition
+// sweeps contiguous memory instead of chasing a heap slice per node.
 //
-// Results are bit-identical to Evaluate on the same expression, blocks,
-// budget and params: the evaluator reuses the same composition, split,
-// repair and penalty code paths, and a differential test enforces equality
-// across randomized move sequences.
+// Results are bit-identical to a from-scratch evaluation of the same
+// expression, blocks, budget and params: the evaluator reuses the same
+// composition, split, repair and penalty code paths, and a differential
+// test against a reference evaluator enforces equality across randomized
+// move sequences.
 //
 // The undo closure returned by Perturb restores both the expression and the
 // cached tree. It is valid only until the next Perturb call and may be
@@ -38,20 +44,19 @@ type Evaluator struct {
 	blocks []Block
 	p      EvalParams
 
-	// arena holds every curve corner of the tree in two shared int64 slabs:
-	// first the leaf region (per-block curves, thinned once to CompactPoints
-	// at Reset), then two fixed-capacity slots per node for the
-	// double-buffered composed curves. leafSpan indexes the leaf region by
-	// operand id; node spans live in ev.spans.
-	arena    shape.Arena
-	leafSpan []shape.Span
-	slotCap  int32
-	rootPts  []shape.Point // RootCurve materialization buffer
+	// slab holds every curve corner of the tree: first the leaf region
+	// (per-block curves, thinned once to CompactPoints at Reset), then two
+	// fixed-capacity slots per node for the double-buffered composed
+	// curves. leafCurve indexes the leaf region by operand id; node curves
+	// live in ev.curves.
+	slab      []shape.Point
+	leafCurve []shape.Curve
+	slotCap   int32
 
-	nodes []enode      // one node per expression position
-	spans []shape.Span // active composed curve per node (leaf region or buf[side]);
-	// parallel to nodes and tiny — the whole tree's spans stay cache-hot for
-	// the assign pass's split repairs, which read only children spans
+	nodes  []enode       // one node per expression position
+	curves []shape.Curve // active composed curve per node (leaf region or buf[side]);
+	// parallel to nodes — the whole tree's curve headers stay cache-hot for
+	// the assign pass's split repairs, which read only children curves
 	aslots []assignSlot // two buffered assignments per node (see enode)
 	parent []int32      // parent position per node, -1 for the root
 	root   int32
@@ -93,11 +98,11 @@ type Evaluator struct {
 }
 
 // enode is one cached slicing-tree node, pinned to its expression position.
-// Composed curves are double-buffered across the node's two arena slots
+// Composed curves are double-buffered across the node's two slab slots
 // (buf[0], buf[1]): a recompute writes the spare slot and flips side, so the
-// journaled previous span stays intact for undo. Leaves alias the leaf
-// region instead — their span points straight at the block's thinned curve,
-// no copy.
+// journaled previous curve stays intact for undo. Leaves alias the leaf
+// region instead — their curve points straight at the block's thinned
+// corners, no copy.
 // The assign cache is double-buffered the same way: the node's pair of
 // slots lives in the evaluator's aslots array (indices 2·pos and 2·pos+1,
 // off the enode so the node itself stays one cache line), aslots[2·pos +
@@ -112,7 +117,7 @@ type enode struct {
 	left, right int32 // children positions, -1 for leaves
 	at, am      int64
 	frac        float64  // cached left split share: atFrac(left.at, right.at)
-	buf         [2]int32 // the node's two slot offsets in the arena
+	buf         [2]int32 // the node's two slot offsets in the slab
 	side        uint8
 	aside       uint8
 	sver        uint32
@@ -132,14 +137,14 @@ type assignSlot struct {
 
 // undoRecord captures one node's cached state before a recompute. It
 // carries the structure version too, so an undo revives the node's
-// pre-move assign slot along with its curve span.
+// pre-move assign slot along with its curve.
 type undoRecord struct {
 	idx         int32
 	val         int32
 	left, right int32
 	at, am      int64
 	frac        float64
-	span        shape.Span
+	curve       shape.Curve
 	side        uint8
 	sver        uint32
 }
@@ -165,9 +170,9 @@ func (ev *Evaluator) Reset(e *Expr, blocks []Block, p EvalParams) {
 	}
 	ev.expr, ev.blocks, ev.p = e, blocks, p
 	n := len(e.elems)
-	ev.leafSpan = resizeSlice(ev.leafSpan, len(blocks))
+	ev.leafCurve = resizeSlice(ev.leafCurve, len(blocks))
 	ev.nodes = resizeSlice(ev.nodes, n)
-	ev.spans = resizeSlice(ev.spans, n)
+	ev.curves = resizeSlice(ev.curves, n)
 	ev.aslots = resizeSlice(ev.aslots, 2*n)
 	ev.parent = resizeSlice(ev.parent, n)
 	ev.dirty = resizeSlice(ev.dirty, n)
@@ -187,9 +192,11 @@ func (ev *Evaluator) Reset(e *Expr, blocks []Block, p EvalParams) {
 	// are dead on arrival.
 	ev.aCur++
 	// Slab layout: the leaf region first (each block reserves its unthinned
-	// corner count; thinning only shrinks a span), then two slots per node.
+	// corner count; thinning only shrinks a curve), then two slots per node.
 	// Children are thinned to CompactPoints, so a slot of twice the largest
-	// child bounds every Stockmeyer merge before its thin pass.
+	// child bounds every Stockmeyer merge before its thin pass. Every region
+	// is handed out as a full slice expression capped at its end, so even an
+	// overflowing write reallocates instead of spilling into a neighbour.
 	leafTotal := 0
 	maxChild := int32(p.CompactPoints)
 	if p.CompactPoints < 2 {
@@ -203,11 +210,12 @@ func (ev *Evaluator) Reset(e *Expr, blocks []Block, p EvalParams) {
 		}
 	}
 	ev.slotCap = 2 * maxChild
-	ev.arena.Resize(leafTotal + n*2*int(ev.slotCap))
-	off := int32(0)
+	ev.slab = resizeSlice(ev.slab, leafTotal+n*2*int(ev.slotCap))
+	off := 0
 	for i := range blocks {
-		ev.leafSpan[i] = ev.arena.SetCurveThinned(off, blocks[i].Curve, p.CompactPoints)
-		off += int32(blocks[i].Curve.Len())
+		end := off + blocks[i].Curve.Len()
+		ev.leafCurve[i], _ = shape.ThinInto(ev.slab[off:off:end], blocks[i].Curve, p.CompactPoints)
+		off = end
 	}
 	for i := range ev.nodes {
 		// Poison val so the first resync sees every position as changed.
@@ -215,7 +223,7 @@ func (ev *Evaluator) Reset(e *Expr, blocks []Block, p EvalParams) {
 		base := int32(leafTotal) + int32(i)*2*ev.slotCap
 		ev.nodes[i].val = -3
 		ev.nodes[i].buf = [2]int32{base, base + ev.slotCap}
-		ev.spans[i] = shape.Span{}
+		ev.curves[i] = shape.Curve{}
 	}
 	ev.resyncFrom(0)
 	ev.journal = ev.journal[:0] // construction needs no undo
@@ -302,7 +310,7 @@ func (ev *Evaluator) resyncFrom(lo int) {
 		if d {
 			ev.journal = append(ev.journal, undoRecord{
 				idx: int32(i), val: nd.val, left: nd.left, right: nd.right,
-				at: nd.at, am: nd.am, frac: nd.frac, span: ev.spans[i], side: nd.side, sver: nd.sver,
+				at: nd.at, am: nd.am, frac: nd.frac, curve: ev.curves[i], side: nd.side, sver: nd.sver,
 			})
 			nd.val, nd.left, nd.right = v, l, r
 			ev.recompute(int32(i), nd)
@@ -412,7 +420,7 @@ func (ev *Evaluator) journalNode(i int32) {
 	nd := &ev.nodes[i]
 	ev.journal = append(ev.journal, undoRecord{
 		idx: i, val: nd.val, left: nd.left, right: nd.right,
-		at: nd.at, am: nd.am, frac: nd.frac, span: ev.spans[i], side: nd.side, sver: nd.sver,
+		at: nd.at, am: nd.am, frac: nd.frac, curve: ev.curves[i], side: nd.side, sver: nd.sver,
 	})
 }
 
@@ -445,7 +453,7 @@ func (ev *Evaluator) sweep(lo int) {
 		nd := &ev.nodes[i]
 		ev.journal = append(ev.journal, undoRecord{
 			idx: i, val: nd.val, left: nd.left, right: nd.right,
-			at: nd.at, am: nd.am, frac: nd.frac, span: ev.spans[i], side: nd.side, sver: nd.sver,
+			at: nd.at, am: nd.am, frac: nd.frac, curve: ev.curves[i], side: nd.side, sver: nd.sver,
 		})
 		nd.val = ev.expr.elems[i]
 		ev.recompute(i, nd)
@@ -465,35 +473,37 @@ func (ev *Evaluator) recompute(i int32, nd *enode) {
 	if nd.val >= 0 {
 		b := &ev.blocks[nd.val]
 		nd.at, nd.am = b.TargetArea, b.MinArea
-		ev.spans[i] = ev.leafSpan[nd.val]
+		ev.curves[i] = ev.leafCurve[nd.val]
 		return
 	}
 	l, r := &ev.nodes[nd.left], &ev.nodes[nd.right]
-	ls, rs := ev.spans[nd.left], ev.spans[nd.right]
+	lc, rc := ev.curves[nd.left], ev.curves[nd.right]
 	nd.at = l.at + r.at
 	nd.am = l.am + r.am
 	nd.frac = atFrac(l.at, r.at)
-	// An empty operand reduces the combine to a copy of the other span (every
-	// span in the tree is already within the thin budget, so the trailing thin
-	// is a no-op), and a copy can be an alias: a child's active span survives
+	// An empty operand reduces the combine to a copy of the other curve (every
+	// curve in the tree is already within the thin budget, so the trailing thin
+	// is a no-op), and a copy can be an alias: a child's active curve survives
 	// exactly one recompute of that child — the double buffer guarantees it —
 	// and any move that recomputes a child also recomputes every ancestor
 	// (children first), so an aliasing parent re-aliases before the borrowed
 	// corners can be overwritten. Soft blocks make empty leaves common, so
 	// this skips a third of the combines in mixed designs.
-	if ls.N == 0 {
-		ev.spans[i] = rs
+	if lc.Empty() {
+		ev.curves[i] = rc
 		return
 	}
-	if rs.N == 0 {
-		ev.spans[i] = ls
+	if rc.Empty() {
+		ev.curves[i] = lc
 		return
 	}
 	side := 1 - nd.side
+	o := nd.buf[side]
+	dst := ev.slab[o : o : o+ev.slotCap]
 	if nd.val == OpV {
-		ev.spans[i] = ev.arena.CombineH(nd.buf[side], ls, rs, ev.p.CompactPoints)
+		ev.curves[i], _ = shape.CombineHInto(dst, lc, rc, ev.p.CompactPoints)
 	} else {
-		ev.spans[i] = ev.arena.CombineV(nd.buf[side], ls, rs, ev.p.CompactPoints)
+		ev.curves[i], _ = shape.CombineVInto(dst, lc, rc, ev.p.CompactPoints)
 	}
 	nd.side = side
 }
@@ -523,7 +533,7 @@ func (ev *Evaluator) applyUndo() {
 		nd := &ev.nodes[rec.idx]
 		nd.val, nd.left, nd.right = rec.val, rec.left, rec.right
 		nd.at, nd.am, nd.frac = rec.at, rec.am, rec.frac
-		ev.spans[rec.idx], nd.side = rec.span, rec.side
+		ev.curves[rec.idx], nd.side = rec.curve, rec.side
 		// Restoring the pre-move structure version revives the flipped-back
 		// pre-move slot and kills any slot the rejected Evals wrote.
 		nd.sver = rec.sver
@@ -565,16 +575,15 @@ func (ev *Evaluator) rebuildParents() {
 	}
 }
 
-// RootCurve returns the cached composed shape curve of the whole expression,
-// materialized out of the slabs into an evaluator-owned buffer. The curve
-// aliases that buffer: it is valid until the next RootCurve call and must be
-// copied (e.g. via Points or Union) to outlive it.
+// RootCurve returns the cached composed shape curve of the whole expression.
+// The curve aliases the evaluator's slab: it stays valid until the next
+// Perturb or Reset and must be copied (e.g. via Points or UnionInto) to
+// outlive it.
 func (ev *Evaluator) RootCurve() shape.Curve {
 	if len(ev.nodes) == 0 {
 		return shape.Curve{}
 	}
-	ev.rootPts = ev.arena.AppendCurve(ev.rootPts[:0], ev.spans[ev.root])
-	return shape.FromCanonical(ev.rootPts)
+	return ev.curves[ev.root]
 }
 
 // Eval runs the top-down area-budgeting pass against the cached tree and
@@ -583,9 +592,9 @@ func (ev *Evaluator) RootCurve() shape.Curve {
 // whose composed state did not change since the previous Eval, and whose
 // budget rectangle is identical, is skipped — its leaves' rectangles are
 // already correct in Rects and its cached violation sums are reused. The
-// result is bit-identical to Evaluate on the same expression and budget
-// (both sum violations over the same tree association; differentially
-// tested).
+// result is bit-identical to a from-scratch pass over the same expression
+// and budget (both sum violations over the same tree association;
+// differentially tested).
 //
 //hidapvet:hotpath
 func (ev *Evaluator) Eval(budget geom.Rect) *Eval {
@@ -609,7 +618,7 @@ func (ev *Evaluator) Eval(budget geom.Rect) *Eval {
 	}
 	vAt, vAm, vMacro := ev.assign(ev.root, budget, out)
 	out.ViolationAt, out.ViolationAm, out.ViolationMacro = vAt, vAm, vMacro
-	out.Penalty = 1 + ev.p.PenaltyAt*vAt + ev.p.PenaltyAm*vAm + ev.p.PenaltyMacro*vMacro
+	out.Penalty = ev.p.penalty(vAt, vAm, vMacro)
 	return out
 }
 
@@ -634,8 +643,8 @@ func (ev *Evaluator) setLeafRect(b int32, r geom.Rect, out *Eval) {
 	out.Rects[b] = r
 }
 
-// assign mirrors Evaluate's recursive rectangle assignment over the cached
-// arena, returning the subtree's hierarchical violation sums. Method
+// assign is the recursive top-down rectangle assignment over the cached
+// tree, returning the subtree's hierarchical violation sums. Method
 // recursion keeps the hot path free of closure allocations. Each visited
 // node caches ⟨budget rect, subtree sums⟩; a revisit with an identical rect
 // on an untouched subtree returns the cached sums without descending —
@@ -660,17 +669,17 @@ func (ev *Evaluator) assign(ni int32, r geom.Rect, out *Eval) (vAt, vAm, vMacro 
 		return cur.vAt, cur.vAm, cur.vMacro
 	}
 	{
-		ls, rs := ev.spans[nd.left], ev.spans[nd.right]
+		lc, rc := &ev.curves[nd.left], &ev.curves[nd.right]
 		var own float64
 		var lAt, lAm, lMac, rAt, rAm, rMac float64
 		if nd.val == OpV {
 			wl := splitShareFrac(r.W, nd.frac)
-			wl, own = repairSplitSpan(&ev.arena, wl, r.W, r.H, ls, rs, true)
+			wl, own = repairSplit(wl, r.W, r.H, lc, rc, true)
 			lAt, lAm, lMac = ev.assign(nd.left, geom.RectXYWH(r.X, r.Y, wl, r.H), out)
 			rAt, rAm, rMac = ev.assign(nd.right, geom.RectXYWH(r.X+wl, r.Y, r.W-wl, r.H), out)
 		} else {
 			hb := splitShareFrac(r.H, nd.frac)
-			hb, own = repairSplitSpan(&ev.arena, hb, r.H, r.W, ls, rs, false)
+			hb, own = repairSplit(hb, r.H, r.W, lc, rc, false)
 			lAt, lAm, lMac = ev.assign(nd.left, geom.RectXYWH(r.X, r.Y, r.W, hb), out)
 			rAt, rAm, rMac = ev.assign(nd.right, geom.RectXYWH(r.X, r.Y+hb, r.W, r.H-hb), out)
 		}

@@ -26,6 +26,102 @@ func randomBlocks(rng *rand.Rand, n int) []Block {
 	return blocks
 }
 
+// node is one slicing-tree node materialized from the postfix expression.
+type node struct {
+	op          int32 // OpV, OpH, or >= 0 for a leaf (operand id)
+	left, right int   // children indices, -1 for leaves
+	at, am      int64
+	curve       shape.Curve
+}
+
+// Evaluate is the from-scratch reference for Evaluator, the differential
+// oracle of this package's tests: it materializes the whole slicing tree
+// with the allocating curve algebra, then runs the same top-down area
+// budgeting recursively. Every Evaluator result must equal it bit for bit.
+func Evaluate(e *Expr, blocks []Block, budget geom.Rect, p EvalParams) *Eval {
+	ev := &Eval{Rects: make([]geom.Rect, len(blocks)), Penalty: 1}
+	if e.n == 0 || budget.Empty() {
+		return ev
+	}
+	if p.CompactPoints <= 0 {
+		p.CompactPoints = 12
+	}
+
+	// Bottom-up: build the tree, composing ⟨Γ, am, at⟩ per node.
+	nodes := make([]node, 0, len(e.elems))
+	stack := make([]int, 0, len(blocks))
+	for _, v := range e.elems {
+		if v >= 0 {
+			b := blocks[v]
+			nodes = append(nodes, node{
+				op: v, left: -1, right: -1,
+				at:    b.TargetArea,
+				am:    b.MinArea,
+				curve: thinCurve(b.Curve, p.CompactPoints),
+			})
+			stack = append(stack, len(nodes)-1)
+			continue
+		}
+		r := stack[len(stack)-1]
+		l := stack[len(stack)-2]
+		stack = stack[:len(stack)-2]
+		var c shape.Curve
+		if v == OpV {
+			c = shape.CombineH(nodes[l].curve, nodes[r].curve)
+		} else {
+			c = shape.CombineV(nodes[l].curve, nodes[r].curve)
+		}
+		nodes = append(nodes, node{
+			op: v, left: l, right: r,
+			at:    nodes[l].at + nodes[r].at,
+			am:    nodes[l].am + nodes[r].am,
+			curve: thinCurve(c, p.CompactPoints),
+		})
+		stack = append(stack, len(nodes)-1)
+	}
+	root := stack[0]
+
+	// Top-down: assign rectangles. Violations are summed hierarchically —
+	// each subtree's totals combine as own + left + right — rather than in
+	// leaf-visit order. The fixed association is what lets the incremental
+	// Evaluator cache per-subtree sums and skip clean subtrees while staying
+	// bit-identical to this from-scratch pass (floating-point addition is
+	// not associative, so the two must agree on the summation tree).
+	var assign func(ni int, r geom.Rect) (vAt, vAm, vMacro float64)
+	assign = func(ni int, r geom.Rect) (vAt, vAm, vMacro float64) {
+		nd := &nodes[ni]
+		if nd.left < 0 {
+			ev.Rects[nd.op] = r
+			return leafViolations(&blocks[nd.op], r)
+		}
+		l, rr := &nodes[nd.left], &nodes[nd.right]
+		var own float64
+		var lAt, lAm, lMac, rAt, rAm, rMac float64
+		if nd.op == OpV {
+			wl := splitShare(r.W, l.at, rr.at)
+			wl, own = repairSplit(wl, r.W, r.H, &l.curve, &rr.curve, true)
+			lAt, lAm, lMac = assign(nd.left, geom.RectXYWH(r.X, r.Y, wl, r.H))
+			rAt, rAm, rMac = assign(nd.right, geom.RectXYWH(r.X+wl, r.Y, r.W-wl, r.H))
+		} else {
+			hb := splitShare(r.H, l.at, rr.at)
+			hb, own = repairSplit(hb, r.H, r.W, &l.curve, &rr.curve, false)
+			lAt, lAm, lMac = assign(nd.left, geom.RectXYWH(r.X, r.Y, r.W, hb))
+			rAt, rAm, rMac = assign(nd.right, geom.RectXYWH(r.X, r.Y+hb, r.W, r.H-hb))
+		}
+		return lAt + rAt, lAm + rAm, own + lMac + rMac
+	}
+	ev.ViolationAt, ev.ViolationAm, ev.ViolationMacro = assign(root, budget)
+
+	ev.Penalty = p.penalty(ev.ViolationAt, ev.ViolationAm, ev.ViolationMacro)
+	return ev
+}
+
+// thinCurve returns a copy of c thinned to at most k corners.
+func thinCurve(c shape.Curve, k int) shape.Curve {
+	c, _ = shape.ThinInto(nil, c, k)
+	return c
+}
+
 func evalsEqual(t *testing.T, tag string, inc, full *Eval) {
 	t.Helper()
 	if len(inc.Rects) != len(full.Rects) {
@@ -126,7 +222,7 @@ func TestEvaluatorRootCurveMatchesComposition(t *testing.T) {
 		var stack []shape.Curve
 		for _, v := range e.Elems() {
 			if v >= 0 {
-				stack = append(stack, parts[v].Curve.Thin(p.CompactPoints))
+				stack = append(stack, thinCurve(parts[v].Curve, p.CompactPoints))
 				continue
 			}
 			b := stack[len(stack)-1]
@@ -138,7 +234,7 @@ func TestEvaluatorRootCurveMatchesComposition(t *testing.T) {
 			} else {
 				c = shape.CombineV(a, b)
 			}
-			stack = append(stack, c.Thin(p.CompactPoints))
+			stack = append(stack, thinCurve(c, p.CompactPoints))
 		}
 		return stack[0]
 	}

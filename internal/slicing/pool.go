@@ -2,11 +2,11 @@ package slicing
 
 import "sync"
 
-// EvaluatorPool recycles incremental Evaluators (node arenas, composed-curve
-// buffers, shape.Scratch workspaces, undo journals) across annealing runs.
+// EvaluatorPool recycles incremental Evaluators (node caches, the
+// composed-curve slab, undo journals) across annealing runs.
 // One level floorplan checks an Evaluator out, anneals, and returns it; the
 // next solve — possibly for a different expression size — Resets the same
-// arena instead of allocating a fresh one, so back-to-back placements on a
+// buffers instead of allocating fresh ones, so back-to-back placements on a
 // long-lived engine run allocation-warm.
 //
 // The zero value is ready to use. The pool is safe for concurrent use; each
@@ -16,7 +16,7 @@ type EvaluatorPool struct {
 }
 
 // Get returns an evaluator targeted at (e, blocks, p), either by resetting a
-// pooled arena or by constructing a fresh one.
+// pooled evaluator or by constructing a fresh one.
 func (ep *EvaluatorPool) Get(e *Expr, blocks []Block, p EvalParams) *Evaluator {
 	if v := ep.p.Get(); v != nil {
 		ev := v.(*Evaluator)
@@ -28,7 +28,7 @@ func (ep *EvaluatorPool) Get(e *Expr, blocks []Block, p EvalParams) *Evaluator {
 
 // Put returns an evaluator to the pool. The caller must not use ev (or any
 // Eval record or curve obtained from it) afterwards. References to the last
-// expression and blocks are dropped so the pool retains only the arenas.
+// expression and blocks are dropped so the pool retains only the buffers.
 func (ep *EvaluatorPool) Put(ev *Evaluator) {
 	if ev == nil {
 		return
