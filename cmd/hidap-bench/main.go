@@ -578,7 +578,6 @@ func runSchedBench(ctx context.Context, jsonPath string, blocks, chains int, see
 		opt.Effort = layout.EffortHigh // long chains: scheduling overhead amortizes, stealing matters
 		opt.Seed = seed
 		opt.Restarts = chains
-		opt.Pool = &slicing.EvaluatorPool{}
 		var pool *sched.Pool
 		if par > 1 {
 			pool = sched.NewPool(par)

@@ -136,8 +136,12 @@ type jobRequest struct {
 	Evaluate *bool           `json:"evaluate"`
 	Seed     int64           `json:"seed"`
 	Lambda   *float64        `json:"lambda"`
-	Effort   string          `json:"effort"`   // low | medium | high
-	Restarts int             `json:"restarts"` // annealing chains per level (best wins)
+	// Effort is low | medium | high. It sets the HiDaP annealing budget;
+	// design jobs on the "indeda" placer run a low-effort IndEDA when it is
+	// low, while circuit jobs with flow IndEDA always run IndEDA at high
+	// effort, as Table III does.
+	Effort   string `json:"effort"`
+	Restarts int    `json:"restarts"` // annealing chains per level (best wins)
 	// Parallelism sizes the job's internal work-stealing scheduler; 0
 	// defers to the engine (serial inside a worker slot on multi-worker
 	// engines). Placements never depend on it.

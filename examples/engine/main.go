@@ -4,7 +4,7 @@
 // flows) through its bounded worker pool: one circuit job per
 // (circuit, flow), completions streamed from Results as they land. It then
 // shows the warm-cache effect: a second job on an already-served design
-// skips Gseq construction and reuses the engine's pooled annealing scratch.
+// skips Gseq construction.
 //
 //	go run ./examples/engine
 package main

@@ -6,7 +6,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hier"
 	"repro/internal/seqgraph"
-	"repro/internal/slicing"
 )
 
 // AutoclusterParams are the hierarchy-synthesis knobs of the autoclustering
@@ -44,7 +43,10 @@ type Config struct {
 	Lambda float64
 	// K is the latency decay exponent of the affinity score (paper: 2).
 	K float64
-	// Effort selects the annealing budget.
+	// Effort selects the annealing budget. The "indeda" placer maps it to
+	// IndEDA's own effort switch: EffortLow runs a low-effort IndEDA, any
+	// other value a high-effort one. Engine circuit jobs on FlowIndEDA
+	// ignore it and always run IndEDA at high effort, as Table III does.
 	Effort Effort
 	// Restarts runs this many independent annealing chains per
 	// floorplanning level, keeping the best layout (<= 1 means one chain).
@@ -79,15 +81,13 @@ type Config struct {
 	// "indeda" and "handfp" placers, which never read the hierarchy.
 	Autocluster *AutoclusterParams
 
-	// seqGraph, tree, bipartite and pool are warm-cache plumbing set by an
+	// seqGraph, tree and bipartite are warm-cache plumbing set by an
 	// Engine before it hands the config to a placer: prebuilt per-design
-	// artifacts (Gseq, hierarchy tree, cell–net bipartite graph) and the
-	// engine's shared annealing-scratch pool. Never set on configs built by
-	// callers.
+	// artifacts (Gseq, hierarchy tree, cell–net bipartite graph). Never set
+	// on configs built by callers.
 	seqGraph  *seqgraph.Graph
 	tree      *hier.Tree
 	bipartite *graph.Bipartite
-	pool      *slicing.EvaluatorPool
 }
 
 // Option mutates a Config under construction.
@@ -163,6 +163,5 @@ func (c *Config) coreOptions() core.Options {
 	opt.SeqGraph = c.seqGraph
 	opt.Tree = c.tree
 	opt.Bipartite = c.bipartite
-	opt.Pool = c.pool
 	return opt
 }

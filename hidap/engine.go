@@ -19,7 +19,6 @@ import (
 	"repro/internal/hier"
 	"repro/internal/netlist"
 	"repro/internal/seqgraph"
-	"repro/internal/slicing"
 )
 
 // Flow harness aliases: the suite pipeline (Tables II/III) surfaced through
@@ -92,8 +91,12 @@ type Job struct {
 	Flow Flow
 	// Lambdas overrides the HiDaP λ sweep for circuit jobs (default: the
 	// paper's {0.2, 0.5, 0.8}, best wirelength wins). A single value pins
-	// λ. Circuit jobs otherwise take only Seed and Effort from the Config;
-	// the remaining flow knobs are the pipeline's defaults.
+	// λ. Circuit jobs otherwise take only Seed, Effort, Restarts,
+	// Parallelism and Autocluster from the Config; the remaining flow knobs
+	// are the pipeline's defaults. Effort sets the HiDaP annealing budget only:
+	// FlowIndEDA circuit jobs always run IndEDA at high effort (see
+	// flows.Options.Effort), whereas a design job on the "indeda" placer
+	// runs it at low effort when Effort is EffortLow.
 	Lambdas []float64
 
 	// Config overrides the engine's default Config for this job.
@@ -240,11 +243,12 @@ type EngineStats struct {
 	ClusterCacheHits uint64 `json:"cluster_cache_hits"`
 }
 
-// Engine runs repeated jobs: a bounded worker pool fed by Submit, a
+// Engine runs repeated jobs: a bounded worker pool fed by Submit and a
 // per-engine design and circuit cache (parsed designs and their sequential
-// graphs, keyed by content hash) and pooled annealing scratch, so
-// back-to-back jobs on the same design run allocation-warm. One Engine
-// serves concurrent callers; all methods are safe for concurrent use.
+// graphs, keyed by content hash), so back-to-back jobs on the same design
+// skip parsing and graph construction. Annealing scratch is pooled inside
+// the solvers for every caller, engine or not. One Engine serves
+// concurrent callers; all methods are safe for concurrent use.
 type Engine struct {
 	cfg        *Config
 	workers    int
@@ -257,7 +261,6 @@ type Engine struct {
 	quit    chan struct{} // closed at Close: unblocks stream sends
 	wg      sync.WaitGroup
 
-	pool    *slicing.EvaluatorPool
 	designs *lruCache[*cachedDesign]
 	gens    *lruCache[*cachedCircuit]
 
@@ -297,7 +300,6 @@ func NewEngine(cfg *Config, opt EngineOptions) *Engine {
 		workers:    workers,
 		maxPending: opt.MaxPending,
 		quit:       make(chan struct{}),
-		pool:       &slicing.EvaluatorPool{},
 		designs:    newLRU[*cachedDesign](cache),
 		gens:       newLRU[*cachedCircuit](cache),
 	}
@@ -312,15 +314,6 @@ func NewEngine(cfg *Config, opt EngineOptions) *Engine {
 
 // Workers reports the concurrency bound of the pool.
 func (e *Engine) Workers() int { return e.workers }
-
-// FlushCaches empties the design and circuit caches, releasing every
-// retained netlist and sequential graph. Jobs in flight keep the entries
-// they already resolved; subsequent jobs repopulate the caches. Use it when
-// a long-lived engine has served a working set it will not see again.
-func (e *Engine) FlushCaches() {
-	e.designs.flush()
-	e.gens.flush()
-}
 
 // Stats snapshots the engine's queue, outcome counters and cache occupancy.
 func (e *Engine) Stats() EngineStats {
@@ -641,8 +634,8 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 }
 
 // runDesignJob places (and optionally evaluates) a cached design with a
-// registered placer, warm: the cached Gseq and the engine scratch pool ride
-// in on the config.
+// registered placer, warm: the cached Gseq, hierarchy tree and bipartite
+// graph ride in on the config.
 func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
 	cd := t.cd
 	if cfg.Autocluster != nil && readsHierarchy(t.placer.Name()) {
@@ -666,7 +659,6 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 		cfg.tree = cd.hierTree()
 		cfg.bipartite = cd.bipartite()
 	}
-	cfg.pool = e.pool
 	pl, stats, err := t.placer.Place(ctx, d, cfg)
 	if err != nil {
 		return nil, err
@@ -700,7 +692,6 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 	fopt.Effort = cfg.Effort
 	fopt.LevelRestarts = cfg.Restarts
 	fopt.Parallelism = cfg.Parallelism
-	fopt.Pool = e.pool
 	if len(t.job.Lambdas) > 0 {
 		fopt.Lambdas = t.job.Lambdas
 	}
@@ -880,11 +871,4 @@ func (c *lruCache[V]) stats() (length int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.l.Len(), c.hits, c.misses
-}
-
-func (c *lruCache[V]) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]*list.Element)
-	c.l.Init()
 }

@@ -141,7 +141,8 @@ func TestEngineConcurrentLoad(t *testing.T) {
 
 // TestEngineWarmCacheAllocs submits the same design twice to a single-worker
 // engine and requires the second job to allocate measurably less: the warm
-// path skips seqgraph construction and reuses pooled annealing scratch.
+// path skips seqgraph construction (annealing scratch is warm for both,
+// since the solvers pool it process-wide).
 func TestEngineWarmCacheAllocs(t *testing.T) {
 	g := circuits.Generate(circuits.Spec{
 		Name: "warm", Cells: 400_000, Macros: 6, Subsystems: 2,

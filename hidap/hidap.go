@@ -18,16 +18,19 @@
 //
 // Placers honor context cancellation and deadlines, report progress through
 // hidap.WithProgress, and are deterministic for a fixed seed. Place runs on
-// the caller's goroutine with no shared state between calls. Third-party
+// the caller's goroutine with no shared state between calls beyond recycled
+// annealing scratch: the level solvers pool their buffers (incremental
+// evaluators included) internally, so repeated calls in one process run
+// allocation-warm without any setting and with identical results. Third-party
 // flows join the registry with hidap.Register without touching this
 // package.
 //
 // # Engine: repeated jobs
 //
 // Use an Engine for repeated jobs on one design: a long-lived object owning
-// a bounded worker pool, a content-hash design cache (parsed netlists plus
-// their sequential graphs) and pooled annealing scratch. Back-to-back jobs
-// on the same design run allocation-warm; concurrent jobs share the caches
+// a bounded worker pool and a content-hash design cache (parsed netlists
+// plus their sequential graphs). Back-to-back jobs on the same design skip
+// parsing and graph construction; concurrent jobs share the caches
 // race-free:
 //
 //	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 8})

@@ -120,13 +120,11 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedMatters(t *testing.T) {
 	d := miniSoC(t)
-	a, err := Place(context.Background(), d, Options{Seed: 1, Lambda: 0.5, K: 2,
-		Decluster: hier.DefaultParams()})
+	a, err := Place(context.Background(), d, Options{Seed: 1, Lambda: 0.5, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Place(context.Background(), d, Options{Seed: 2, Lambda: 0.5, K: 2,
-		Decluster: hier.DefaultParams()})
+	b, err := Place(context.Background(), d, Options{Seed: 2, Lambda: 0.5, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +247,7 @@ func TestShapeCurveLeafRotatable(t *testing.T) {
 func TestComposePartsTwo(t *testing.T) {
 	a := shape.FromBox(10, 20)
 	b := shape.FromBox(30, 5)
-	c := composeParts(context.Background(), []shape.Curve{a, b}, 1, nil)
+	c := composeParts(context.Background(), []shape.Curve{a, b}, 1)
 	// H composition: 40 x 20; V composition: 30 x 25.
 	if !c.Fits(40, 20) || !c.Fits(30, 25) {
 		t.Errorf("compose missing realizations: %v", c)

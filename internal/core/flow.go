@@ -51,15 +51,17 @@ type Progress struct {
 // subtree task and replay at the join.
 type ProgressFunc func(Progress)
 
-// Options configures the HiDaP flow.
+// Options configures the HiDaP flow. It carries what callers vary; the
+// paper's fixed parameters are not options: every level declusters under
+// hier.DefaultParams and evaluates slicing layouts under
+// slicing.DefaultEvalParams, and annealing scratch (solvers, incremental
+// evaluators) is pooled inside layout and core.
 type Options struct {
 	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
 	// evaluates λ ∈ {0.2, 0.5, 0.8} and keeps the best wirelength.
 	Lambda float64
 	// K is the latency decay exponent of the affinity score (default 2).
 	K float64
-	// Decluster sets the open/min area fractions (paper: 1% / 40%).
-	Decluster hier.Params
 	// Seq sets Gseq construction parameters.
 	Seq seqgraph.Params
 	// SeqGraph optionally supplies a prebuilt sequential graph for the
@@ -76,9 +78,6 @@ type Options struct {
 	// of the design, skipping graph.BipartiteFromDesign. Same contract as
 	// SeqGraph.
 	Bipartite *graph.Bipartite
-	// Pool optionally shares annealing scratch (incremental slicing
-	// evaluators) across levels and runs; see layout.Options.Pool.
-	Pool *slicing.EvaluatorPool
 	// Effort selects the annealing budget per level.
 	Effort layout.Effort
 	// Restarts runs this many independent annealing chains per level solve,
@@ -97,8 +96,6 @@ type Options struct {
 	// creating one per Place call; a multi-candidate sweep passes its pool
 	// here so candidates, subtrees and chains share one set of lanes.
 	Sched *sched.Pool
-	// Eval sets the slicing evaluation penalties.
-	Eval slicing.EvalParams
 	// Seed drives all stochastic steps; equal seeds give equal floorplans.
 	Seed int64
 	// Trace records the per-level block floorplans (Fig. 1 evolution).
@@ -116,12 +113,10 @@ type Options struct {
 // DefaultOptions mirrors the paper's defaults.
 func DefaultOptions() Options {
 	return Options{
-		Lambda:    0.5,
-		K:         2,
-		Decluster: hier.DefaultParams(),
-		Seq:       seqgraph.DefaultParams(),
-		Effort:    layout.EffortMedium,
-		Eval:      slicing.DefaultEvalParams(),
+		Lambda: 0.5,
+		K:      2,
+		Seq:    seqgraph.DefaultParams(),
+		Effort: layout.EffortMedium,
 	}
 }
 
@@ -249,12 +244,6 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 	if opt.K == 0 {
 		opt.K = 2
 	}
-	if opt.Decluster.MinAreaFrac == 0 {
-		opt.Decluster = hier.DefaultParams()
-	}
-	if opt.Eval.CompactPoints == 0 {
-		opt.Eval = slicing.DefaultEvalParams()
-	}
 
 	sg := opt.SeqGraph
 	if sg == nil {
@@ -282,7 +271,7 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 		st.sched = sched.NewPool(opt.Parallelism)
 		defer st.sched.Close()
 	}
-	st.sc = generateShapeCurves(ctx, st.tree, opt.Seed, opt.Pool)
+	st.sc = GenerateShapeCurves(ctx, st.tree, opt.Seed)
 	st.res.SeqStats = st.sg.Stats()
 
 	root := &subRun{view: newView(len(d.Cells)), live: true}
@@ -334,7 +323,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 		return err
 	}
 	d := st.d
-	decl := st.tree.Decluster(nh, st.opt.Decluster)
+	decl := st.tree.Decluster(nh, hier.DefaultParams())
 	if len(decl.Blocks) == 0 {
 		return nil
 	}
@@ -374,7 +363,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	}
 
 	opt := layout.Options{
-		Seed: sched.Derive(st.opt.Seed, int64(nh)), Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
+		Seed: sched.Derive(st.opt.Seed, int64(nh)), Effort: st.opt.Effort,
 		Restarts: st.opt.Restarts, Sched: st.sched,
 	}
 	sol := layout.Solve(ctx, prob, opt)
@@ -537,7 +526,7 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 		})
 	}
 	sol := layout.Solve(ctx, prob, layout.Options{
-		Seed: st.opt.Seed, Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
+		Seed: st.opt.Seed, Effort: st.opt.Effort,
 		Restarts: st.opt.Restarts, Sched: st.sched,
 	})
 	if err := ctx.Err(); err != nil {
@@ -702,7 +691,7 @@ func (st *flowState) macroAttraction(p geom.Point, gdf *dataflow.Graph, aff [][]
 		if w == 0 || int32(j) == blockIdx {
 			continue
 		}
-		cost += w * float64(p.ManhattanDist(st.counterpartPos(gdf, j, sol, v)))
+		cost += float64(w * float64(p.ManhattanDist(st.counterpartPos(gdf, j, sol, v))))
 	}
 	return cost
 }

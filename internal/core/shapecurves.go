@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 
 	"repro/internal/anneal"
 	"repro/internal/hier"
@@ -32,13 +33,6 @@ type ShapeCurves struct {
 // area-minimizing anneal over slicing structures, and the union of every
 // composition visited forms the node's Pareto set.
 func GenerateShapeCurves(ctx context.Context, tree *hier.Tree, seed int64) *ShapeCurves {
-	return generateShapeCurves(ctx, tree, seed, nil)
-}
-
-// generateShapeCurves is GenerateShapeCurves with an optional evaluator
-// pool: the per-node composition anneals draw their scratch from it, so a
-// long-lived engine re-deriving curves for many jobs stays allocation-warm.
-func generateShapeCurves(ctx context.Context, tree *hier.Tree, seed int64, pool *slicing.EvaluatorPool) *ShapeCurves {
 	d := tree.D
 	sc := &ShapeCurves{
 		ByNode:  make(map[netlist.HierID]shape.Curve),
@@ -68,7 +62,7 @@ func generateShapeCurves(ctx context.Context, tree *hier.Tree, seed int64, pool 
 				parts = append(parts, sc.ByNode[ch])
 			}
 		}
-		sc.ByNode[hid] = composeParts(ctx, parts, seed+int64(hid), pool)
+		sc.ByNode[hid] = composeParts(ctx, parts, seed+int64(hid))
 	}
 	return sc
 }
@@ -89,11 +83,24 @@ func (sc *ShapeCurves) Curve(b *hier.Block) shape.Curve {
 // composeCompact bounds the corner count of curves fed to composition.
 const composeCompact = 16
 
+// composer is the scratch of one composition anneal: the curve-only block
+// slice, the slicing expression and the incremental evaluator over them.
+// Pooled, so the anneals of every hierarchy node (and of every placement a
+// process runs) reuse one set of buffers; Reset + Eval is bit-identical to
+// a fresh evaluator, so reuse never changes a curve.
+type composer struct {
+	blocks []slicing.Block
+	expr   slicing.Expr
+	inc    *slicing.Evaluator
+}
+
+var composerPool = sync.Pool{New: func() any { return new(composer) }}
+
 // composeParts builds the shape curve of a set of sub-curves under slicing
 // composition. Two parts are enumerated exactly; more parts run a short
 // area-optimization anneal (paper §IV-A), accumulating the Pareto union of
 // every slicing structure visited.
-func composeParts(ctx context.Context, parts []shape.Curve, seed int64, pool *slicing.EvaluatorPool) shape.Curve {
+func composeParts(ctx context.Context, parts []shape.Curve, seed int64) shape.Curve {
 	switch len(parts) {
 	case 0:
 		return shape.Curve{}
@@ -109,18 +116,19 @@ func composeParts(ctx context.Context, parts []shape.Curve, seed int64, pool *sl
 	// it thins every part once (to composeCompact, matching the old
 	// pre-compaction) and recomposes only the slicing-tree path each move
 	// touches, instead of rebuilding the whole composition per move.
-	blocks := make([]slicing.Block, len(parts))
+	c := composerPool.Get().(*composer)
+	c.blocks = c.blocks[:0]
 	for i := range parts {
-		blocks[i] = slicing.Block{Curve: parts[i]}
+		c.blocks = append(c.blocks, slicing.Block{Curve: parts[i]})
 	}
-	expr := slicing.NewBalanced(len(parts))
-	var inc *slicing.Evaluator
-	if pool != nil {
-		inc = pool.Get(&expr, blocks, slicing.EvalParams{CompactPoints: composeCompact})
-		defer pool.Put(inc)
+	c.expr.SetBalanced(len(parts))
+	params := slicing.EvalParams{CompactPoints: composeCompact}
+	if c.inc == nil {
+		c.inc = slicing.NewEvaluator(&c.expr, c.blocks, params)
 	} else {
-		inc = slicing.NewEvaluator(&expr, blocks, slicing.EvalParams{CompactPoints: composeCompact})
+		c.inc.Reset(&c.expr, c.blocks, params)
 	}
+	inc := c.inc
 	acc := shape.Curve{}
 	var ubuf []shape.Point
 	cost := func() float64 {
@@ -142,5 +150,9 @@ func composeParts(ctx context.Context, parts []shape.Curve, seed int64, pool *sl
 		},
 		nil,
 	)
+	// The pooled scratch keeps only buffers: zero the block entries (the
+	// evaluator aliases them) so the parts' curves are not retained.
+	clear(c.blocks)
+	composerPool.Put(c)
 	return acc
 }

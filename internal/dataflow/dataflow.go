@@ -125,7 +125,7 @@ func powf(x, k float64) float64 {
 	}
 	frac := k - float64(ik)
 	if frac > 0 {
-		r *= 1 + frac*(x-1)
+		r *= 1 + float64(frac*(x-1))
 	}
 	return r
 }
@@ -345,7 +345,7 @@ func (g *Graph) Affinity(p Params) [][]float64 {
 			return keys[i].To < keys[j].To
 		})
 		for _, k := range keys {
-			s := weight * edges[k].Score(p.K)
+			s := float64(weight * edges[k].Score(p.K))
 			m[k.From][k.To] += s
 			m[k.To][k.From] += s
 		}

@@ -69,10 +69,9 @@ type Options struct {
 	// STA configures timing; a zero WirePsPerDBU is calibrated to the die
 	// by CalibrateSTA.
 	STA sta.Options
-	// Seq sets Gseq construction parameters when Graph is nil.
-	Seq seqgraph.Params
 	// Graph optionally supplies a prebuilt sequential graph (the harness
-	// reuses one graph across the flows of a circuit).
+	// reuses one graph across the flows of a circuit). When nil, Evaluate
+	// builds one under seqgraph.DefaultParams.
 	Graph *seqgraph.Graph
 }
 
@@ -116,10 +115,7 @@ func Evaluate(ctx context.Context, d *netlist.Design, pl *placement.Placement, o
 	}
 	sg := opt.Graph
 	if sg == nil {
-		if opt.Seq.MinBits == 0 {
-			opt.Seq = seqgraph.DefaultParams()
-		}
-		sg = seqgraph.Build(d, opt.Seq)
+		sg = seqgraph.Build(d, seqgraph.DefaultParams())
 	}
 	st := sg.Stats()
 	r.SeqNodes = st.Nodes

@@ -25,7 +25,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/route"
 	"repro/internal/sched"
-	"repro/internal/slicing"
 	"repro/internal/sta"
 )
 
@@ -45,7 +44,10 @@ const (
 type Options struct {
 	// Seed drives every stochastic stage.
 	Seed int64
-	// Effort selects the HiDaP annealing budget.
+	// Effort selects the HiDaP annealing budget. The IndEDA flow ignores
+	// it and always runs at high effort (the Table III setup, pinned by the
+	// golden rows), unlike the "indeda" placer of package hidap, which
+	// drops to low effort when Config.Effort is low.
 	Effort layout.Effort
 	// Lambdas are the HiDaP blend values to try (paper: 0.2, 0.5, 0.8;
 	// the best post-placement wirelength wins).
@@ -63,10 +65,6 @@ type Options struct {
 	// depend on it: tasks are indexed, seeded by stable task paths, and
 	// reduced in index order.
 	Parallelism int
-	// Pool, when set, shares annealing scratch (incremental slicing
-	// evaluators) across candidates and runs; a serving engine passes its
-	// per-engine pool here so back-to-back jobs run allocation-warm.
-	Pool *slicing.EvaluatorPool
 	// Autocluster, when set, runs the hierarchy-synthesis front-end on the
 	// design before HiDaP placement (flat or badly-shaped inputs get a
 	// synthesized physical hierarchy; well-shaped ones pass through as a
@@ -203,10 +201,9 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (macroRun
 		coreOpt.Restarts = opt.LevelRestarts
 		coreOpt.Sched = pool
 		// Every candidate places the same design: reuse the circuit's cached
-		// Gseq (built under default params, matching coreOpt.Seq) and the
-		// shared scratch pool instead of rebuilding per candidate.
+		// Gseq (built under default params, matching coreOpt.Seq) instead of
+		// rebuilding it per candidate.
 		coreOpt.SeqGraph = g.SeqGraph()
-		coreOpt.Pool = opt.Pool
 		start := time.Now()
 		res, err := core.Place(ctx, d, coreOpt)
 		if err != nil {

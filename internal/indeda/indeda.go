@@ -160,7 +160,7 @@ func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellI
 		for _, m := range macros {
 			r := pl.Rect(m)
 			edge := min4(r.X-die.X, die.X2()-r.X2(), r.Y-die.Y, die.Y2()-r.Y2())
-			sum += opt.WallWeight * meanBondW * float64(edge)
+			sum += float64(opt.WallWeight * meanBondW * float64(edge))
 		}
 		// Overlap penalty.
 		for i, m := range macros {

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,5 +44,31 @@ func TestMoverProposeUndoAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Propose/Undo cycle allocates %.2f objects/run, want 0", avg)
+	}
+}
+
+// TestSolveWarmAllocs checks that a warm single-chain Solve runs on pooled
+// scratch, its incremental evaluator included: it must allocate fewer
+// objects than building one evaluator for the same blocks does. What it
+// does allocate is the Result with its Rects and Expr copies, the anneal
+// RNG and the mover handed to anneal.RunModel.
+func TestSolveWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under -race")
+	}
+	p := benchProblem(12)
+	blocks := make([]slicing.Block, len(p.Blocks))
+	for i := range p.Blocks {
+		blocks[i] = p.Blocks[i].Block
+	}
+	e := slicing.NewBalanced(len(blocks))
+	fresh := testing.AllocsPerRun(20, func() { slicing.NewEvaluator(&e, blocks, slicing.DefaultEvalParams()) })
+
+	opt := DefaultOptions()
+	opt.Effort = EffortLow
+	Solve(context.Background(), p, opt) // warm the pool
+	warm := testing.AllocsPerRun(20, func() { Solve(context.Background(), p, opt) })
+	if warm >= fresh {
+		t.Fatalf("warm Solve allocates %v objects/run, a fresh evaluator %v: evaluator not reused", warm, fresh)
 	}
 }

@@ -82,13 +82,12 @@ func BenchmarkLayoutSolve24(b *testing.B) {
 }
 
 // BenchmarkLayoutSolveRestarts measures the multi-start fan-out: four
-// independent chains on pooled evaluators, all cores available.
+// independent chains on pooled solvers, all cores available.
 func BenchmarkLayoutSolveRestarts(b *testing.B) {
 	p := benchProblem(12)
 	opt := DefaultOptions()
 	opt.Seed = 7
 	opt.Restarts = 4
-	opt.Pool = &slicing.EvaluatorPool{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,10 +14,12 @@
 // recomposes and re-assigns only the tree path a move touched, and the
 // wirelength term is maintained as per-pair contributions under a
 // fixed-shape summation tree, so one proposal costs O(depth + degree of the
-// moved blocks) instead of O(n + pairs). Solve optionally runs several
-// independent annealing chains (Options.Restarts) on pooled scratch and
-// keeps the best, deterministically for a fixed seed regardless of how the
-// chains are scheduled (Options.Sched).
+// moved blocks) instead of O(n + pairs). Every chain runs on pooled scratch
+// (its incremental evaluator included), so repeated level solves stay
+// allocation-warm without any caller plumbing. Solve optionally runs several
+// independent annealing chains (Options.Restarts) and keeps the best,
+// deterministically for a fixed seed regardless of how the chains are
+// scheduled (Options.Sched).
 package layout
 
 import (
@@ -77,17 +79,12 @@ func (e Effort) schedule(seed int64) anneal.Options {
 	}
 }
 
-// Options tunes Solve.
+// Options tunes Solve: the seed, the annealing budget and how many chains
+// run where. Levels are always evaluated under slicing.DefaultEvalParams,
+// and annealing scratch is recycled internally.
 type Options struct {
 	Seed   int64
 	Effort Effort
-	Eval   slicing.EvalParams
-	// Pool, when set, supplies the incremental evaluator from a shared
-	// arena pool and returns it after the solve, so repeated solves (the
-	// recursion levels of one placement, or back-to-back jobs on a serving
-	// engine) reuse annealing scratch instead of reallocating it. Results
-	// are identical with or without a pool.
-	Pool *slicing.EvaluatorPool
 	// Restarts runs this many independent annealing chains from distinct
 	// seeds derived from Seed and keeps the lowest-cost result (<= 1 means
 	// one chain, seeded with Seed exactly — the single-chain behavior).
@@ -102,9 +99,9 @@ type Options struct {
 	Sched *sched.Pool
 }
 
-// DefaultOptions returns medium effort with the standard penalties.
+// DefaultOptions returns medium effort, one chain.
 func DefaultOptions() Options {
-	return Options{Effort: EffortMedium, Eval: slicing.DefaultEvalParams()}
+	return Options{Effort: EffortMedium}
 }
 
 // Result is a solved level.
@@ -129,14 +126,10 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 	if nb == 0 {
 		return &Result{Penalty: 1, Legal: true}
 	}
-	if opt.Eval.CompactPoints == 0 {
-		opt.Eval = slicing.DefaultEvalParams()
-	}
-
 	if nb == 1 {
 		blocks := []slicing.Block{p.Blocks[0].Block}
 		e := slicing.NewBalanced(1)
-		ev := slicing.NewEvaluator(&e, blocks, opt.Eval).Eval(p.Region)
+		ev := slicing.NewEvaluator(&e, blocks, slicing.DefaultEvalParams()).Eval(p.Region)
 		return &Result{
 			Rects:   ev.Rects,
 			Expr:    e,
@@ -151,7 +144,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 		restarts = 1
 	}
 	if restarts == 1 {
-		return solveChain(ctx, p, opt, opt.Seed, nil)
+		return pooledChain(ctx, p, opt, opt.Seed, nil)
 	}
 
 	// Multi-start: independent chains, each with its own pooled solver and
@@ -165,7 +158,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 	results := make([]*Result, restarts)
 	if opt.Sched == nil {
 		for i := range results {
-			results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
+			results[i] = pooledChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
 		}
 	} else {
 		// Each chain is one task on the shared pool; a cancelled ctx still
@@ -175,7 +168,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 		for i := range results {
 			i := i
 			g.Go(func(ctx context.Context) {
-				results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
+				results[i] = pooledChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
 			})
 		}
 		g.Wait() // ctx errors surface through the caller's ctx.Err() checks
@@ -200,24 +193,49 @@ func chainSeed(seed int64, chain int) int64 {
 }
 
 // solver is the per-chain annealing scratch: the block slice, the delta
-// cost state and the expression pair. Pooled so repeated level solves (and
-// restart chains) reuse the buffers instead of reallocating them.
+// cost state, the expression pair and the incremental evaluator. Pooled so
+// repeated level solves (and restart chains) reuse every buffer instead of
+// reallocating it; Reset + Eval is bit-identical to a fresh evaluator, per
+// the slicing differential tests, so reuse never changes a result.
 type solver struct {
 	blocks []slicing.Block
 	cost   costState
 	expr   slicing.Expr
 	best   slicing.Expr
+	inc    *slicing.Evaluator
 }
 
 var solverPool = sync.Pool{New: func() any { return new(solver) }}
+
+// pooledChain runs one chain on a solver from the pool and returns the
+// solver afterwards, holding only its buffers: the block entries (which
+// reference the problem's curves, and which the evaluator aliases) are
+// zeroed and the possibly shared pair index is dropped.
+func pooledChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *pairIndex) *Result {
+	s := solverPool.Get().(*solver)
+	r := s.solveChain(ctx, p, opt, seed, idx)
+	clear(s.blocks)
+	s.cost.idx = nil
+	solverPool.Put(s)
+	return r
+}
+
+// evaluator targets the solver's incremental evaluator at e over s.blocks,
+// building it on first use and resetting its buffers after that.
+func (s *solver) evaluator(e *slicing.Expr) *slicing.Evaluator {
+	if s.inc == nil {
+		s.inc = slicing.NewEvaluator(e, s.blocks, slicing.DefaultEvalParams())
+	} else {
+		s.inc.Reset(e, s.blocks, slicing.DefaultEvalParams())
+	}
+	return s.inc
+}
 
 // solveChain anneals one chain from the given seed and evaluates its best
 // expression from scratch (bit-identical to the annealed costs, per the
 // evaluator's differential contract). A non-nil idx supplies a prebuilt
 // pair index shared read-only with other chains.
-func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *pairIndex) *Result {
-	s := solverPool.Get().(*solver)
-	defer solverPool.Put(s)
+func (s *solver) solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *pairIndex) *Result {
 	nb := len(p.Blocks)
 	s.blocks = resizeSlice(s.blocks, nb)
 	for i := range p.Blocks {
@@ -226,22 +244,13 @@ func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *p
 	s.cost.init(p, idx)
 	s.expr.SetBalanced(nb)
 
-	var inc *slicing.Evaluator
-	if opt.Pool != nil {
-		inc = opt.Pool.Get(&s.expr, s.blocks, opt.Eval)
-		defer opt.Pool.Put(inc)
-	} else {
-		inc = slicing.NewEvaluator(&s.expr, s.blocks, opt.Eval)
-	}
-	m := mover{inc: inc, cs: &s.cost, region: p.Region, expr: &s.expr, best: &s.best}
+	m := mover{inc: s.evaluator(&s.expr), cs: &s.cost, region: p.Region, expr: &s.expr, best: &s.best}
 	anneal.RunModel(ctx, opt.Effort.schedule(seed), &m)
 
-	// Final evaluation of the winner reuses the incremental evaluator's
-	// buffers (Reset + Eval is bit-identical to a from-scratch evaluation,
-	// per the differential tests), so the tail of the solve is warm too. Rects
-	// are copied out because the evaluator owns its record.
-	inc.Reset(&s.best, s.blocks, opt.Eval)
-	ev := inc.Eval(p.Region)
+	// Final evaluation of the winner reuses the same buffers, so the tail of
+	// the solve is warm too. Rects are copied out because the evaluator owns
+	// its record.
+	ev := s.evaluator(&s.best).Eval(p.Region)
 	return &Result{
 		Rects:   append([]geom.Rect(nil), ev.Rects...),
 		Expr:    s.best.Clone(),
@@ -547,7 +556,7 @@ func wirecost(ev *slicing.Eval, p *Problem, pairs []pair) float64 {
 	var sum float64
 	for _, pr := range pairs {
 		d := pos(pr.i).ManhattanDist(pos(pr.j))
-		sum += float64(d) * pr.w
+		sum += float64(float64(d) * pr.w)
 	}
 	// A pure packing instance (no pairs) degenerates to optimizing the
 	// penalty alone: sum is 0 and the cost is exactly ev.Penalty.

@@ -252,11 +252,11 @@ func TestAffinityPairsSkipTerminalTerminal(t *testing.T) {
 	}
 }
 
-// TestSolvePoolMatchesUnpooled is the Options.Pool contract: solving with a
-// shared (and reused) evaluator pool returns exactly the solution of the
-// pool-free path, across several problem sizes through the same pool.
+// TestSolvePoolMatchesUnpooled is the solver-reuse contract behind the
+// solver pool: one solver retargeted across problems of growing and
+// shrinking size returns exactly the solution of a fresh solver.
 func TestSolvePoolMatchesUnpooled(t *testing.T) {
-	pool := &slicing.EvaluatorPool{}
+	reused := new(solver)
 	for _, nb := range []int{2, 7, 4, 12} {
 		p := &Problem{Region: geom.RectXYWH(0, 0, 200_000, 160_000)}
 		for i := 0; i < nb; i++ {
@@ -279,13 +279,12 @@ func TestSolvePoolMatchesUnpooled(t *testing.T) {
 		p.Affinity = aff
 
 		opt := DefaultOptions()
-		opt.Seed = int64(nb)
-		plain := Solve(context.Background(), p, opt)
-		opt.Pool = pool
-		pooled := Solve(context.Background(), p, opt)
+		seed := int64(nb)
+		plain := new(solver).solveChain(context.Background(), p, opt, seed, nil)
+		pooled := reused.solveChain(context.Background(), p, opt, seed, nil)
 
 		if plain.Cost != pooled.Cost || plain.Penalty != pooled.Penalty || plain.Legal != pooled.Legal {
-			t.Fatalf("nb=%d: pooled (%v %v %v) != plain (%v %v %v)",
+			t.Fatalf("nb=%d: reused (%v %v %v) != fresh (%v %v %v)",
 				nb, pooled.Cost, pooled.Penalty, pooled.Legal, plain.Cost, plain.Penalty, plain.Legal)
 		}
 		for i := range plain.Rects {

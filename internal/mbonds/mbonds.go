@@ -162,7 +162,7 @@ func WL(pl interface {
 		} else {
 			pb = pl.Center(b.B)
 		}
-		sum += b.W * float64(pa.ManhattanDist(pb))
+		sum += float64(b.W * float64(pa.ManhattanDist(pb)))
 	}
 	return sum
 }

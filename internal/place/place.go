@@ -33,10 +33,6 @@ type Options struct {
 	// clamped to [0.35, 0.8] — the uniform-density target a production
 	// global placer spreads toward.
 	TargetUtil float64
-	// Hints optionally seeds movable cells at estimated positions
-	// (indexed by cell; used with HasHint).
-	Hints   []geom.Point
-	HasHint []bool
 }
 
 // DefaultOptions returns the standard settings (TargetUtil auto-derived).
@@ -69,14 +65,10 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		return nil
 	}
 
-	// Initial positions: hints if provided, else the die center.
+	// Every movable cell starts at the die center.
 	center := d.Die.Center()
 	for _, id := range movable {
-		p := center
-		if opt.Hints != nil && opt.HasHint != nil && opt.HasHint[id] {
-			p = opt.Hints[id]
-		}
-		pl.Place(id, p)
+		pl.Place(id, center)
 	}
 
 	if opt.TargetUtil <= 0 {
@@ -164,8 +156,8 @@ func (g *grid) solve(pl *placement.Placement, movable []netlist.CellID, sweeps i
 			}
 			target := geom.Pt(sx/n, sy/n)
 			cur := pl.Center(id)
-			nx := int64(keep*float64(cur.X) + (1-keep)*float64(target.X))
-			ny := int64(keep*float64(cur.Y) + (1-keep)*float64(target.Y))
+			nx := int64(float64(keep*float64(cur.X)) + float64((1-keep)*float64(target.X)))
+			ny := int64(float64(keep*float64(cur.Y)) + float64((1-keep)*float64(target.Y)))
 			pl.Place(id, geom.Pt(nx-cell.Width/2, ny-cell.Height/2))
 		}
 	}

@@ -39,7 +39,7 @@ func newCanvas(w io.Writer, die geom.Rect, widthPx int) *canvas {
 }
 
 func (c *canvas) xy(p geom.Point) (float64, float64) {
-	return float64(p.X-c.die.X) * c.scale, c.py - float64(p.Y-c.die.Y)*c.scale
+	return float64(p.X-c.die.X) * c.scale, c.py - float64(float64(p.Y-c.die.Y)*c.scale)
 }
 
 func (c *canvas) rect(r geom.Rect, fill, stroke string, opacity float64) {
@@ -134,7 +134,7 @@ func heat(v float64) string {
 		v = 1
 	}
 	r := 255
-	g := int(255 * (1 - 0.7*v))
+	g := int(255 * (1 - float64(0.7*v)))
 	b := int(255 * math.Pow(1-v, 2))
 	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
 }
@@ -174,7 +174,7 @@ func Dataflow(w io.Writer, die geom.Rect, gdf *dataflow.Graph, aff [][]float64,
 				continue
 			}
 			v := aff[i][j] / maxAff
-			width := 1 + 4*v
+			width := 1 + float64(4*v)
 			shade := int(200 * (1 - v))
 			c.line(pos(i), pos(j), fmt.Sprintf("#%02x%02xff", shade, shade), width)
 		}

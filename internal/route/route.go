@@ -86,11 +86,14 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 			if a := r.Area(); a > 0 {
 				frac = float64(blocked) / float64(a)
 			}
-			res.Capacity[by*n+bx] = full * (1 - frac + frac*opt.MacroDerate)
+			res.Capacity[by*n+bx] = full * (1 - frac + float64(frac*opt.MacroDerate))
 		}
 	}
 
 	// Demand: RUDY. Each net adds (w+h)/(w·h) per unit area over its bbox.
+	// The half-gcell margins are rounded once here: the compiler lowers /2
+	// to *0.5 and would otherwise fuse it into the subtraction on arm64.
+	halfW, halfH := float64(binW/2), float64(binH/2)
 	for i := range d.Nets {
 		bbox, pins := netBBox(pl, netlist.NetID(i))
 		if pins < 2 {
@@ -104,10 +107,10 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 		for by := y0; by <= y1; by++ {
 			for bx := x0; bx <= x1; bx++ {
 				r := binRect(die, n, bx, by)
-				ov := overlap1D(float64(r.X), float64(r.X2()), float64(bbox.X)-binW/2, float64(bbox.X2())+binW/2) *
-					overlap1D(float64(r.Y), float64(r.Y2()), float64(bbox.Y)-binH/2, float64(bbox.Y2())+binH/2)
+				ov := overlap1D(float64(r.X), float64(r.X2()), float64(bbox.X)-halfW, float64(bbox.X2())+halfW) *
+					overlap1D(float64(r.Y), float64(r.Y2()), float64(bbox.Y)-halfH, float64(bbox.Y2())+halfH)
 				if ov > 0 {
-					res.Demand[by*n+bx] += density * ov
+					res.Demand[by*n+bx] += float64(density * ov)
 				}
 			}
 		}

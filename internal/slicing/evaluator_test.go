@@ -298,13 +298,11 @@ func BenchmarkSlicingEvaluator(b *testing.B) {
 }
 
 // TestEvaluatorResetMatchesEvaluate is the differential contract of arena
-// reuse: one Evaluator (and one EvaluatorPool) retargeted across problems of
-// shrinking and growing size — with a perturbation run between resets to
-// dirty every arena — must evaluate bit-identically to a from-scratch
-// Evaluate after every Reset.
+// reuse: one Evaluator retargeted across problems of shrinking and growing
+// size — with a perturbation run between resets to dirty every arena — must
+// evaluate bit-identically to a from-scratch Evaluate after every Reset.
 func TestEvaluatorResetMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	var pool EvaluatorPool
 	var reused *Evaluator
 	// Shrink then regrow within (and beyond) prior capacity: 24 → 3 → 16 →
 	// 2 → 24 → 40 exercises stale-arena reuse in both directions.
@@ -317,17 +315,11 @@ func TestEvaluatorResetMatchesEvaluate(t *testing.T) {
 		} else {
 			reused.Reset(&expr, blocks, p)
 		}
-		pooled := pool.Get(&expr, blocks, p)
 
 		budget := geom.RectXYWH(0, 0, 1400, 1100)
 		evalsEqual(t, "reset initial", reused.Eval(budget), Evaluate(&expr, blocks, budget, p))
 
-		// Perturb through the reused evaluator only (one evaluator owns an
-		// expression at a time), checking the pooled copy was identical at
-		// the start, then leave the arena mid-flight dirty for the next
-		// Reset.
-		evalsEqual(t, "pooled initial", pooled.Eval(budget), Evaluate(&expr, blocks, budget, p))
-		pool.Put(pooled)
+		// Leave the arena mid-flight dirty for the next Reset.
 		for step := 0; step < 60 && n > 1; step++ {
 			undo, _ := reused.Perturb(rng)
 			evalsEqual(t, "reset after move", reused.Eval(budget), Evaluate(&expr, blocks, budget, p))

@@ -74,7 +74,7 @@ func Analyze(sg *seqgraph.Graph, pl *placement.Placement, opt Options) *Result {
 		for _, e := range sg.Out[u] {
 			res.Stages++
 			dist := pos[u].ManhattanDist(pos[e.To])
-			delay := opt.IntrinsicPs + opt.WirePsPerDBU*float64(dist)
+			delay := opt.IntrinsicPs + float64(opt.WirePsPerDBU*float64(dist))
 			slack := opt.ClockPs - delay
 			if !hasIn[e.To] || slack < worstIn[e.To] {
 				worstIn[e.To] = slack
